@@ -10,6 +10,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# The benchmark is a package of its own (tdbbench/, own workspace); its
+# test drives every workload briefly, so a library API change cannot
+# silently break the benchmark.
+echo "==> cargo test (tdbbench)"
+cargo test --release --manifest-path tdbbench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

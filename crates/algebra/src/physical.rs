@@ -17,6 +17,7 @@ use crate::expr::{display_conjunction, eval_conjunction, resolve_all, Atom, Colu
 use crate::logical::Scope;
 use crate::pattern::TemporalPattern;
 use std::fmt;
+use std::time::Instant;
 use tdb_core::{PeriodRow, Row, StreamOrder, TdbError, TdbResult, Temporal};
 use tdb_storage::Catalog;
 use tdb_stream::{
@@ -128,7 +129,7 @@ pub struct QueryOutput {
     /// Execution statistics.
     pub stats: ExecStats,
     /// Per-operator observations, in execution (bottom-up) order; empty
-    /// when collection was disabled via [`PhysicalPlan::execute_with`].
+    /// when collection was disabled via [`ExecOptions::with_trace`].
     pub trace: Vec<OpObservation>,
 }
 
@@ -147,6 +148,9 @@ pub struct OpObservation {
     /// The operator's instrumented report (parallel runs report the
     /// partition-aggregated view: counters summed, workspace peak maxed).
     pub report: OpReport,
+    /// When this occurrence began its own work: after its inputs were
+    /// produced, so a span placed here starts where the operator did.
+    pub started: Instant,
     /// Wall-clock microseconds this operator occurrence spent doing its
     /// own work (sorting, streaming, residual filtering) — child plans
     /// excluded, so the engine can build a stage span per operator.
@@ -154,13 +158,21 @@ pub struct OpObservation {
 }
 
 impl OpObservation {
-    fn serial(kind: StreamOpKind, report: OpReport, elapsed_us: u64) -> OpObservation {
+    /// A stream-operator occurrence over `partitions` that began at
+    /// `started` and ends now.
+    fn new(
+        kind: StreamOpKind,
+        partitions: usize,
+        report: OpReport,
+        started: Instant,
+    ) -> OpObservation {
         OpObservation {
             operator: kind.to_string(),
             kind: Some(kind),
-            partitions: 1,
+            partitions,
             report,
-            elapsed_us,
+            started,
+            elapsed_us: started.elapsed().as_micros() as u64,
         }
     }
 }
@@ -375,19 +387,6 @@ impl PhysicalPlan {
         })
     }
 
-    /// Execute the plan, optionally disabling per-operator trace
-    /// collection.
-    #[deprecated(note = "use execute(catalog, ExecOptions::new().with_trace(collect_trace))")]
-    pub fn execute_with(&self, catalog: &Catalog, collect_trace: bool) -> TdbResult<QueryOutput> {
-        self.execute(catalog, ExecOptions::new().with_trace(collect_trace))
-    }
-
-    /// Execute the plan under explicit [`ExecOptions`].
-    #[deprecated(note = "use execute(catalog, opts)")]
-    pub fn execute_opts(&self, catalog: &Catalog, opts: ExecOptions<'_>) -> TdbResult<QueryOutput> {
-        self.execute(catalog, opts)
-    }
-
     fn run(
         &self,
         catalog: &Catalog,
@@ -396,21 +395,30 @@ impl PhysicalPlan {
         mut trace: Option<&mut Vec<OpObservation>>,
     ) -> TdbResult<(Vec<Row>, Scope)> {
         match self {
-            PhysicalPlan::SeqScan { relation, var } => {
-                let rows = catalog.scan(relation)?;
+            PhysicalPlan::SeqScan { relation, .. } => {
+                let rows = catalog.rows(relation)?;
                 stats.rows_scanned += rows.len();
-                let scope = self.scope(catalog)?;
-                let _ = var;
-                Ok((rows, scope))
+                Ok((rows.to_vec(), self.scope(catalog)?))
             }
             PhysicalPlan::Filter { input, atoms } => {
-                let (rows, scope) = input.run(catalog, cfg, stats, trace.as_deref_mut())?;
+                let scope = input.scope(catalog)?;
                 let resolved = resolve_all(atoms, |c| scope.index_of(c))?;
-                stats.comparisons += (rows.len() * atoms.len()) as u64;
-                let rows: Vec<Row> = rows
-                    .into_iter()
-                    .filter(|r| eval_conjunction(&resolved, r))
-                    .collect();
+                let keep = |r: &Row| eval_conjunction(&resolved, r);
+                let (offered, rows): (usize, Vec<Row>) = match &**input {
+                    // Over a base relation the conjunction runs on the
+                    // shared snapshot: only surviving rows are cloned.
+                    PhysicalPlan::SeqScan { relation, .. } => {
+                        let snapshot = catalog.rows(relation)?;
+                        stats.rows_scanned += snapshot.len();
+                        let kept = snapshot.iter().filter(|r| keep(r)).cloned().collect();
+                        (snapshot.len(), kept)
+                    }
+                    _ => {
+                        let (rows, _) = input.run(catalog, cfg, stats, trace.as_deref_mut())?;
+                        (rows.len(), rows.into_iter().filter(|r| keep(r)).collect())
+                    }
+                };
+                stats.comparisons += (offered * atoms.len()) as u64;
                 stats.intermediate_rows += rows.len();
                 Ok((rows, scope))
             }
@@ -463,7 +471,7 @@ impl PhysicalPlan {
             } => {
                 let (lrows, lscope) = left.run(catalog, cfg, stats, trace.as_deref_mut())?;
                 let (rrows, rscope) = right.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let op_t0 = std::time::Instant::now();
+                let op_t0 = Instant::now();
                 let li = lscope.index_of(left_key)?;
                 let ri = rscope.index_of(right_key)?;
                 let lrows = sort_rows_by_key(lrows, li, stats);
@@ -494,6 +502,7 @@ impl PhysicalPlan {
                         kind: None,
                         partitions: 1,
                         report,
+                        started: op_t0,
                         elapsed_us: op_t0.elapsed().as_micros() as u64,
                     });
                 }
@@ -509,7 +518,7 @@ impl PhysicalPlan {
             } => {
                 let (lrows, lscope) = left.run(catalog, cfg, stats, trace.as_deref_mut())?;
                 let (rrows, rscope) = right.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let op_t0 = std::time::Instant::now();
+                let op_t0 = Instant::now();
                 let lp = lscope.period_of_var(left_var)?;
                 let rp = rscope.period_of_var(right_var)?;
                 let lwrapped = wrap_rows(lrows, lp)?;
@@ -520,11 +529,7 @@ impl PhysicalPlan {
                 stats.max_workspace = stats.max_workspace.max(report.max_workspace());
                 stats.comparisons += report.metrics.comparisons as u64;
                 if let Some(t) = trace {
-                    t.push(OpObservation::serial(
-                        pattern.join_op().0,
-                        report,
-                        op_t0.elapsed().as_micros() as u64,
-                    ));
+                    t.push(OpObservation::new(pattern.join_op().0, 1, report, op_t0));
                 }
                 let mut out = Vec::new();
                 for (l, r) in pairs {
@@ -546,7 +551,7 @@ impl PhysicalPlan {
             } => {
                 let (lrows, lscope) = left.run(catalog, cfg, stats, trace.as_deref_mut())?;
                 let (rrows, rscope) = right.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let op_t0 = std::time::Instant::now();
+                let op_t0 = Instant::now();
                 let lp = lscope.period_of_var(left_var)?;
                 let rp = rscope.period_of_var(right_var)?;
                 let lwrapped = wrap_rows(lrows, lp)?;
@@ -555,10 +560,11 @@ impl PhysicalPlan {
                 stats.max_workspace = stats.max_workspace.max(report.max_workspace());
                 stats.comparisons += report.metrics.comparisons as u64;
                 if let Some(t) = trace {
-                    t.push(OpObservation::serial(
+                    t.push(OpObservation::new(
                         pattern.semijoin_op().0,
+                        1,
                         report,
-                        op_t0.elapsed().as_micros() as u64,
+                        op_t0,
                     ));
                 }
                 let out: Vec<Row> = kept.into_iter().map(|p| p.row).collect();
@@ -580,7 +586,7 @@ impl PhysicalPlan {
                             left.run(catalog, cfg, stats, trace.as_deref_mut())?;
                         let (rrows, rscope) =
                             right.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                        let op_t0 = std::time::Instant::now();
+                        let op_t0 = Instant::now();
                         let lwrapped = wrap_rows(lrows, lscope.period_of_var(left_var)?)?;
                         let rwrapped = wrap_rows(rrows, rscope.period_of_var(right_var)?)?;
                         note_parallel_sorts(ppat, true, &lwrapped, &rwrapped, stats);
@@ -597,14 +603,12 @@ impl PhysicalPlan {
                         stats.max_workspace = stats.max_workspace.max(run.report.max_workspace());
                         stats.comparisons += run.report.metrics.comparisons as u64;
                         if let Some(t) = trace {
-                            let kind = ppat.join_kind();
-                            t.push(OpObservation {
-                                operator: kind.to_string(),
-                                kind: Some(kind),
-                                partitions: *partitions,
-                                report: run.report,
-                                elapsed_us: op_t0.elapsed().as_micros() as u64,
-                            });
+                            t.push(OpObservation::new(
+                                ppat.join_kind(),
+                                *partitions,
+                                run.report,
+                                op_t0,
+                            ));
                         }
                         let scope = lscope.concat(&rscope);
                         let resolved = resolve_all(residual, |c| scope.index_of(c))?;
@@ -633,7 +637,7 @@ impl PhysicalPlan {
                             left.run(catalog, cfg, stats, trace.as_deref_mut())?;
                         let (rrows, rscope) =
                             right.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                        let op_t0 = std::time::Instant::now();
+                        let op_t0 = Instant::now();
                         let lwrapped = wrap_rows(lrows, lscope.period_of_var(left_var)?)?;
                         let rwrapped = wrap_rows(rrows, rscope.period_of_var(right_var)?)?;
                         note_parallel_sorts(ppat, false, &lwrapped, &rwrapped, stats);
@@ -650,14 +654,12 @@ impl PhysicalPlan {
                         stats.max_workspace = stats.max_workspace.max(run.report.max_workspace());
                         stats.comparisons += run.report.metrics.comparisons as u64;
                         if let Some(t) = trace {
-                            let kind = ppat.semijoin_kind();
-                            t.push(OpObservation {
-                                operator: kind.to_string(),
-                                kind: Some(kind),
-                                partitions: *partitions,
-                                report: run.report,
-                                elapsed_us: op_t0.elapsed().as_micros() as u64,
-                            });
+                            t.push(OpObservation::new(
+                                ppat.semijoin_kind(),
+                                *partitions,
+                                run.report,
+                                op_t0,
+                            ));
                         }
                         let out: Vec<Row> = run.items.into_iter().map(|p| p.row).collect();
                         stats.intermediate_rows += out.len();
@@ -674,7 +676,7 @@ impl PhysicalPlan {
                 contained,
             } => {
                 let (rows, scope) = input.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let op_t0 = std::time::Instant::now();
+                let op_t0 = Instant::now();
                 let p = scope.period_of_var(var)?;
                 let wrapped = wrap_rows(rows, p)?;
                 let order = StreamOrder::TS_ASC_TE_ASC;
@@ -697,11 +699,7 @@ impl PhysicalPlan {
                     } else {
                         StreamOpKind::ContainSelfSemijoin
                     };
-                    t.push(OpObservation::serial(
-                        kind,
-                        report,
-                        op_t0.elapsed().as_micros() as u64,
-                    ));
+                    t.push(OpObservation::new(kind, 1, report, op_t0));
                 }
                 let out: Vec<Row> = out_rows.into_iter().map(|p| p.row).collect();
                 stats.intermediate_rows += out.len();
@@ -800,7 +798,7 @@ impl PhysicalPlan {
             } => {
                 let (lrows, lscope) = left.run(catalog, cfg, stats, trace.as_deref_mut())?;
                 let (rrows, rscope) = right.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let op_t0 = std::time::Instant::now();
+                let op_t0 = Instant::now();
                 let lwrapped = wrap_rows(lrows, lscope.period_of_var(left_var)?)?;
                 let rwrapped = wrap_rows(rrows, rscope.period_of_var(right_var)?)?;
                 let scope = lscope.concat(&rscope);
@@ -842,11 +840,7 @@ impl PhysicalPlan {
                 stats.comparisons += comparisons + report.metrics.comparisons as u64;
                 stats.max_workspace = stats.max_workspace.max(report.max_workspace());
                 if let Some(t) = trace {
-                    t.push(OpObservation::serial(
-                        pattern.join_op().0,
-                        report,
-                        op_t0.elapsed().as_micros() as u64,
-                    ));
+                    t.push(OpObservation::new(pattern.join_op().0, 1, report, op_t0));
                 }
                 stats.intermediate_rows += pushed;
                 Ok(pushed)
@@ -860,7 +854,7 @@ impl PhysicalPlan {
             } => {
                 let (lrows, lscope) = left.run(catalog, cfg, stats, trace.as_deref_mut())?;
                 let (rrows, rscope) = right.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let op_t0 = std::time::Instant::now();
+                let op_t0 = Instant::now();
                 let lwrapped = wrap_rows(lrows, lscope.period_of_var(left_var)?)?;
                 let rwrapped = wrap_rows(rrows, rscope.period_of_var(right_var)?)?;
                 let wants_rows = sink.wants_rows();
@@ -884,10 +878,11 @@ impl PhysicalPlan {
                 stats.max_workspace = stats.max_workspace.max(report.max_workspace());
                 stats.comparisons += report.metrics.comparisons as u64;
                 if let Some(t) = trace {
-                    t.push(OpObservation::serial(
+                    t.push(OpObservation::new(
                         pattern.semijoin_op().0,
+                        1,
                         report,
-                        op_t0.elapsed().as_micros() as u64,
+                        op_t0,
                     ));
                 }
                 stats.intermediate_rows += pushed;
@@ -908,7 +903,7 @@ impl PhysicalPlan {
                             left.run(catalog, cfg, stats, trace.as_deref_mut())?;
                         let (rrows, rscope) =
                             right.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                        let op_t0 = std::time::Instant::now();
+                        let op_t0 = Instant::now();
                         let lwrapped = wrap_rows(lrows, lscope.period_of_var(left_var)?)?;
                         let rwrapped = wrap_rows(rrows, rscope.period_of_var(right_var)?)?;
                         note_parallel_sorts(ppat, true, &lwrapped, &rwrapped, stats);
@@ -956,14 +951,12 @@ impl PhysicalPlan {
                         stats.max_workspace = stats.max_workspace.max(run.report.max_workspace());
                         stats.comparisons += comparisons + run.report.metrics.comparisons as u64;
                         if let Some(t) = trace {
-                            let kind = ppat.join_kind();
-                            t.push(OpObservation {
-                                operator: kind.to_string(),
-                                kind: Some(kind),
-                                partitions: *partitions,
-                                report: run.report,
-                                elapsed_us: op_t0.elapsed().as_micros() as u64,
-                            });
+                            t.push(OpObservation::new(
+                                ppat.join_kind(),
+                                *partitions,
+                                run.report,
+                                op_t0,
+                            ));
                         }
                         stats.intermediate_rows += pushed;
                         Ok(pushed)
@@ -982,7 +975,7 @@ impl PhysicalPlan {
                             left.run(catalog, cfg, stats, trace.as_deref_mut())?;
                         let (rrows, rscope) =
                             right.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                        let op_t0 = std::time::Instant::now();
+                        let op_t0 = Instant::now();
                         let lwrapped = wrap_rows(lrows, lscope.period_of_var(left_var)?)?;
                         let rwrapped = wrap_rows(rrows, rscope.period_of_var(right_var)?)?;
                         note_parallel_sorts(ppat, false, &lwrapped, &rwrapped, stats);
@@ -1017,14 +1010,12 @@ impl PhysicalPlan {
                         stats.max_workspace = stats.max_workspace.max(run.report.max_workspace());
                         stats.comparisons += run.report.metrics.comparisons as u64;
                         if let Some(t) = trace {
-                            let kind = ppat.semijoin_kind();
-                            t.push(OpObservation {
-                                operator: kind.to_string(),
-                                kind: Some(kind),
-                                partitions: *partitions,
-                                report: run.report,
-                                elapsed_us: op_t0.elapsed().as_micros() as u64,
-                            });
+                            t.push(OpObservation::new(
+                                ppat.semijoin_kind(),
+                                *partitions,
+                                run.report,
+                                op_t0,
+                            ));
                         }
                         stats.intermediate_rows += pushed;
                         Ok(pushed)
@@ -1941,11 +1932,13 @@ mod tests {
             assert_eq!(out.stats, baseline.stats);
             // Wall-clock per-operator timings are nondeterministic; the
             // equivalence claim is about counters and workspace.
+            let epoch = Instant::now();
             let untimed = |trace: &[OpObservation]| -> Vec<OpObservation> {
                 trace
                     .iter()
                     .cloned()
                     .map(|mut o| {
+                        o.started = epoch;
                         o.elapsed_us = 0;
                         o
                     })
@@ -2021,18 +2014,6 @@ mod tests {
             assert_eq!(out.stats.output_rows, baseline.rows.len());
             assert_eq!(out.stats.max_workspace, baseline.stats.max_workspace);
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_execute() {
-        let cat = test_catalog("shims");
-        let plan = scan("f");
-        let a = plan.execute(&cat, ExecOptions::default()).unwrap();
-        let b = plan.execute_with(&cat, true).unwrap();
-        let c = plan.execute_opts(&cat, ExecOptions::default()).unwrap();
-        assert_eq!(a.rows, b.rows);
-        assert_eq!(a.rows, c.rows);
     }
 
     #[test]

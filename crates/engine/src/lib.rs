@@ -683,15 +683,15 @@ impl Engine {
         self.mark_stage(&mut stages, spans_on, q_start, Stage::Execute, start);
         if spans_on {
             // One child span per operator occurrence, nested under the
-            // execute span; self-time comes from the executor's own clock.
-            let exec_start_us = start.duration_since(q_start).as_micros() as u64;
+            // execute span; start and self-time come from the executor's
+            // own clock, so each span begins where its operator did.
             for obs in &result.trace {
                 self.obs
                     .stage_timers
                     .observe(Stage::Operator, obs.elapsed_us);
                 stages.push(StageSpan {
                     stage: Stage::Operator,
-                    start_us: exec_start_us,
+                    start_us: obs.started.duration_since(q_start).as_micros() as u64,
                     elapsed_us: obs.elapsed_us,
                     depth: 1,
                     detail: obs.operator.clone(),
@@ -768,13 +768,12 @@ impl Engine {
         if !on {
             return;
         }
-        let elapsed_us = begun.elapsed().as_micros() as u64;
+        // Both ends are read on the query clock and rounded the same way,
+        // so a child span rounded inside this one never pokes out of it.
+        let start_us = begun.duration_since(q_start).as_micros() as u64;
+        let elapsed_us = (q_start.elapsed().as_micros() as u64).saturating_sub(start_us);
         self.obs.stage_timers.observe(stage, elapsed_us);
-        stages.push(StageSpan::top(
-            stage,
-            begun.duration_since(q_start).as_micros() as u64,
-            elapsed_us,
-        ));
+        stages.push(StageSpan::top(stage, start_us, elapsed_us));
     }
 
     /// Toggle stage-span recording (the `tracing off` baseline E22
@@ -1645,6 +1644,38 @@ mod tests {
         };
         assert!(q2.query_id > q.query_id);
         assert!(q2.trace.expect("trace still attached").stages.is_empty());
+    }
+
+    #[test]
+    fn operator_span_starts_after_its_inputs_inside_execute() {
+        let (mut e, mut ctx) = engine("opstart");
+        e.execute(&mut ctx, "\\gen intervals T 2000 3 30 1");
+        e.execute(&mut ctx, "\\trace on");
+        let contain = "range of a is T range of b is T retrieve (P=a.Id, Q=b.Id) \
+             where a.ValidFrom < b.ValidFrom and b.ValidTo < a.ValidTo;";
+        let Response::Query(q) = e.execute(&mut ctx, contain) else {
+            panic!("expected query");
+        };
+        let stages = q.trace.expect("trace attached").stages;
+        let exec = stages
+            .iter()
+            .find(|s| s.stage == Stage::Execute)
+            .expect("execute span");
+        let op = stages
+            .iter()
+            .find(|s| s.stage == Stage::Operator)
+            .expect("operator span");
+        assert!(op.detail.contains("ContainJoin"), "{:?}", op.detail);
+        assert!(exec.start_us <= op.start_us, "{exec:?} vs {op:?}");
+        assert!(
+            op.start_us + op.elapsed_us <= exec.start_us + exec.elapsed_us,
+            "operator span must end inside execute: {exec:?} vs {op:?}"
+        );
+        // Both inputs are scanned before the join starts.
+        assert!(
+            op.start_us > exec.start_us,
+            "operator span must start after execute: {exec:?} vs {op:?}"
+        );
     }
 
     #[test]

@@ -6,16 +6,24 @@
 //! necessary." The catalog stores each relation's [`TemporalSchema`],
 //! row count and [`TemporalStats`], plus which sort orders the stored
 //! representation already satisfies — the optimizer's "interesting orders".
+//!
+//! Each relation's heap file is decoded at most once per catalog: the first
+//! read fills a shared, immutable row snapshot ([`Catalog::rows`]) that
+//! every later scan borrows. The heap file stays the only durable copy;
+//! the snapshot is extended after a committed append and dropped whenever
+//! the relation is replaced or removed.
 
 use crate::heap::HeapFile;
 use crate::iostats::IoStats;
 use crate::page::PAGE_SIZE;
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use tdb_core::{
-    jobj, Direction, Field, FieldType, Json, Row, Schema, SortKey, SortSpec, StreamOrder, TdbError,
-    TdbResult, TemporalSchema, TemporalStats, TimePoint,
+    jobj, Direction, Field, FieldType, Json, Period, Row, Schema, SortKey, SortSpec, StreamOrder,
+    TdbError, TdbResult, TemporalSchema, TemporalStats, TimePoint,
 };
 
 /// Metadata for one relation.
@@ -226,6 +234,9 @@ pub struct Catalog {
     /// rename and heap appends are fdatasync'd before the manifest points
     /// at them, so a crash can never expose a half-written catalog.
     durable: bool,
+    /// Decoded rows per relation, in storage order, filled on first read.
+    /// The lock guards only the map: decoding happens outside it.
+    snapshots: Mutex<BTreeMap<String, Arc<Vec<Row>>>>,
 }
 
 impl Catalog {
@@ -253,6 +264,7 @@ impl Catalog {
             relations,
             io,
             durable: false,
+            snapshots: Mutex::new(BTreeMap::new()),
         })
     }
 
@@ -366,6 +378,8 @@ impl Catalog {
             }
         }
 
+        // The heap is about to be rewritten: the next read decodes it anew.
+        self.snapshots.get_mut().remove(name);
         let file = format!("{name}.heap");
         let mut heap = HeapFile::create(self.dir.join(&file), self.io.clone())?;
         for row in rows {
@@ -397,11 +411,15 @@ impl Catalog {
     /// orders and refreshing statistics.
     ///
     /// Every claimed order in `known_orders` is re-verified over the
-    /// *combined* row sequence, so an append that would break an order the
-    /// optimizer relies on is rejected outright. Live ingestion satisfies
-    /// this by construction: closed prefixes are promoted in watermark
-    /// order, so each batch sorts entirely after the rows already stored.
-    /// Returns the new total row count.
+    /// *combined* row sequence (the stored rows come from the snapshot, not
+    /// a heap re-read), so an append that would break an order the
+    /// optimizer relies on is rejected outright and changes nothing. Live
+    /// ingestion satisfies this by construction: closed prefixes are
+    /// promoted in watermark order, so each batch sorts entirely after the
+    /// rows already stored. Once the heap write and manifest update
+    /// succeed, the snapshot is extended in place (copied only if a reader
+    /// still holds it); if either fails, the snapshot is dropped so the next
+    /// read re-decodes the heap. Returns the new total row count.
     pub fn append_rows(&mut self, name: &str, rows: &[Row]) -> TdbResult<usize> {
         let meta = self.meta(name)?;
         if rows.is_empty() {
@@ -411,11 +429,12 @@ impl Catalog {
         let file = meta.file.clone();
         let known_orders = meta.known_orders.clone();
 
-        let existing = self.scan(name)?;
+        let existing = self.rows(name)?;
         let mut periods = Vec::with_capacity(existing.len() + rows.len());
-        for row in &existing {
+        for row in existing.iter() {
             periods.push(schema.period_of(row)?);
         }
+        drop(existing);
         for row in rows {
             schema.check_row(row)?;
             periods.push(schema.period_of(row)?);
@@ -429,7 +448,32 @@ impl Catalog {
             }
         }
 
-        let mut heap = HeapFile::open(self.dir.join(&file), self.io.clone())?;
+        let committed = self.commit_append(name, &file, rows, &periods);
+        let snapshots = self.snapshots.get_mut();
+        match committed {
+            Ok(()) => {
+                if let Some(snapshot) = snapshots.get_mut(name) {
+                    Arc::make_mut(snapshot).extend_from_slice(rows);
+                }
+                Ok(periods.len())
+            }
+            Err(e) => {
+                snapshots.remove(name);
+                Err(e)
+            }
+        }
+    }
+
+    /// Write an already-verified append batch to the heap, then point the
+    /// manifest at it.
+    fn commit_append(
+        &mut self,
+        name: &str,
+        file: &str,
+        rows: &[Row],
+        periods: &[Period],
+    ) -> TdbResult<()> {
+        let mut heap = HeapFile::open(self.dir.join(file), self.io.clone())?;
         for row in rows {
             heap.append(row)?;
         }
@@ -438,25 +482,46 @@ impl Catalog {
             heap.sync_data()?;
         }
 
-        let stats = TemporalStats::compute(&periods);
-        let total = periods.len();
-        let pages = Some(heap.page_count());
         let meta = self
             .relations
             .get_mut(name)
             .expect("relation existed above");
-        meta.rows = total;
-        meta.stats = stats;
-        meta.pages = pages;
-        self.persist()?;
-        Ok(total)
+        meta.rows = periods.len();
+        meta.stats = TemporalStats::compute(periods);
+        meta.pages = Some(heap.page_count());
+        self.persist()
     }
 
-    /// Read every row of `name` in storage order.
-    pub fn scan(&self, name: &str) -> TdbResult<Vec<Row>> {
+    /// The decoded rows of `name` in storage order, shared.
+    ///
+    /// The first call per relation decodes its heap file (a snapshot miss
+    /// in [`IoStats`]); later calls return the same snapshot without
+    /// touching the disk (a hit). A decode error is returned as is and
+    /// nothing is cached, so a corrupt heap fails on every call.
+    pub fn rows(&self, name: &str) -> TdbResult<Arc<Vec<Row>>> {
         let meta = self.meta(name)?;
+        if let Some(rows) = self.snapshots.lock().get(name) {
+            self.io.record_hit();
+            return Ok(Arc::clone(rows));
+        }
+        self.io.record_miss();
+        // Decode without holding the lock. Mutations need `&mut self`, so
+        // the heap cannot change underneath; two racing readers decode the
+        // same rows and the first to insert wins.
         let mut heap = HeapFile::open(self.dir.join(&meta.file), self.io.clone())?;
-        heap.scan::<Row>()?.collect()
+        let rows = Arc::new(heap.scan::<Row>()?.collect::<TdbResult<Vec<Row>>>()?);
+        Ok(Arc::clone(
+            self.snapshots
+                .lock()
+                .entry(name.to_string())
+                .or_insert(rows),
+        ))
+    }
+
+    /// Read every row of `name` in storage order: an owned copy of
+    /// [`Catalog::rows`].
+    pub fn scan(&self, name: &str) -> TdbResult<Vec<Row>> {
+        Ok(self.rows(name)?.to_vec())
     }
 
     /// Drop a relation and its heap file.
@@ -465,6 +530,7 @@ impl Catalog {
             .relations
             .remove(name)
             .ok_or_else(|| TdbError::Catalog(format!("unknown relation `{name}`")))?;
+        self.snapshots.get_mut().remove(name);
         let _ = std::fs::remove_file(self.dir.join(&meta.file));
         self.persist()
     }
@@ -473,6 +539,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tdb_core::{TimePoint, Value};
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -602,5 +669,177 @@ mod tests {
         assert!(cat.meta("Faculty").is_err());
         assert!(!dir.join("Faculty.heap").exists());
         assert!(cat.drop_relation("Faculty").is_err());
+    }
+
+    #[test]
+    fn corrupt_heap_fails_every_read_and_caches_nothing() {
+        let dir = tmpdir("corrupt");
+        let mut cat = Catalog::open(&dir, IoStats::new()).unwrap();
+        let schema = TemporalSchema::time_sequence("Name", "Rank");
+        let rows: Vec<Row> = (0..2000)
+            .map(|i| mk_row(&format!("N{i}"), i, i + 5))
+            .collect();
+        cat.create_relation("R", schema, &rows, vec![]).unwrap();
+        let pages = cat.meta("R").unwrap().pages.unwrap();
+        assert!(pages >= 2, "the decode must get past a good page first");
+        // An impossible slot count in the last page's header: every page
+        // before it decodes, then the scan fails.
+        let path = dir.join("R.heap");
+        let mut bytes = std::fs::read(&path).unwrap();
+        let last = (pages as usize - 1) * PAGE_SIZE;
+        bytes[last..last + 2].copy_from_slice(&[0xFF, 0xFF]);
+        std::fs::write(&path, &bytes).unwrap();
+        for _ in 0..2 {
+            let before = cat.io().snapshot();
+            assert!(matches!(cat.rows("R"), Err(TdbError::Corrupt(_))));
+            assert!(matches!(cat.scan("R"), Err(TdbError::Corrupt(_))));
+            let delta = cat.io().snapshot().since(&before);
+            assert_eq!(delta.snapshot_hits, 0, "nothing was cached");
+            assert_eq!(delta.snapshot_misses, 2);
+            assert_eq!(delta.pages_read, 2 * pages, "each call re-reads the heap");
+        }
+    }
+
+    fn mk_row(name: &str, ts: i64, te: i64) -> Row {
+        Row::new(vec![
+            Value::str(name),
+            Value::str("r"),
+            Value::Time(TimePoint(ts)),
+            Value::Time(TimePoint(te)),
+        ])
+    }
+
+    /// One step of the snapshot-coherence property.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        /// Create or replace a relation with `n` TS-ordered rows.
+        Create(usize),
+        /// Append `n` rows after the current maximum `ValidFrom`.
+        Append(usize),
+        /// Append one row that breaks the claimed TS order.
+        BadAppend,
+        Drop,
+        Reopen,
+        /// Read the relation, filling its snapshot.
+        Read,
+    }
+
+    fn arb_step() -> impl Strategy<Value = (Step, usize, i64)> {
+        (0u8..6, 0usize..6, 0usize..2, 1i64..20).prop_map(|(k, n, rel, dur)| {
+            let step = match k {
+                0 => Step::Create(n),
+                1 => Step::Append(n),
+                2 => Step::BadAppend,
+                3 => Step::Drop,
+                4 => Step::Reopen,
+                _ => Step::Read,
+            };
+            (step, rel, dur)
+        })
+    }
+
+    fn heap_decode(dir: &Path, meta: &RelationMeta) -> Vec<Row> {
+        HeapFile::open(dir.join(&meta.file), IoStats::new())
+            .unwrap()
+            .scan::<Row>()
+            .unwrap()
+            .collect::<TdbResult<Vec<Row>>>()
+            .unwrap()
+    }
+
+    fn open_as(durable: bool, dir: &Path) -> Catalog {
+        if durable {
+            Catalog::open_durable(dir, IoStats::new()).unwrap()
+        } else {
+            Catalog::open(dir, IoStats::new()).unwrap()
+        }
+    }
+
+    static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn snapshot_matches_heap_after_every_step(
+            durable in proptest::bool::ANY,
+            steps in proptest::collection::vec(arb_step(), 1..24),
+        ) {
+            let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let dir = tmpdir(&format!("prop{case}"));
+            let mut cat = open_as(durable, &dir);
+            let names = ["R", "S"];
+            // The model: what each live relation must hold.
+            let mut model: BTreeMap<&str, Vec<Row>> = BTreeMap::new();
+            let mut next_ts = 0i64;
+            let mut fresh = |n: usize, dur: i64| -> Vec<Row> {
+                (0..n)
+                    .map(|_| {
+                        next_ts += 1;
+                        mk_row(&format!("t{next_ts}"), next_ts, next_ts + dur)
+                    })
+                    .collect()
+            };
+            for (step, rel, dur) in steps {
+                let name = names[rel];
+                match step {
+                    Step::Create(n) => {
+                        let rows = fresh(n, dur);
+                        let schema = TemporalSchema::time_sequence("Name", "Rank");
+                        cat.create_relation(name, schema, &rows, vec![StreamOrder::TS_ASC])
+                            .unwrap();
+                        model.insert(name, rows);
+                    }
+                    Step::Append(n) => {
+                        let rows = fresh(n, dur);
+                        match model.get_mut(name) {
+                            Some(want) => {
+                                let total = cat.append_rows(name, &rows).unwrap();
+                                want.extend(rows);
+                                prop_assert_eq!(total, want.len());
+                            }
+                            None => prop_assert!(cat.append_rows(name, &rows).is_err()),
+                        }
+                    }
+                    Step::BadAppend => {
+                        let Some(want) = model.get(name) else { continue };
+                        if want.is_empty() {
+                            continue;
+                        }
+                        let before = cat.rows(name).unwrap();
+                        let early = mk_row("early", -1, dur);
+                        prop_assert!(matches!(
+                            cat.append_rows(name, &[early]),
+                            Err(TdbError::OrderViolation { .. })
+                        ));
+                        let after = cat.rows(name).unwrap();
+                        prop_assert!(Arc::ptr_eq(&before, &after), "rejected append kept the snapshot");
+                    }
+                    Step::Drop => {
+                        let dropped = cat.drop_relation(name);
+                        prop_assert_eq!(dropped.is_ok(), model.remove(name).is_some());
+                    }
+                    Step::Reopen => {
+                        drop(cat);
+                        cat = open_as(durable, &dir);
+                    }
+                    Step::Read => {
+                        let _ = cat.rows(name);
+                    }
+                }
+                for name in names {
+                    match model.get(name) {
+                        Some(want) => {
+                            let meta = cat.meta(name).unwrap().clone();
+                            let scanned = cat.scan(name).unwrap();
+                            prop_assert_eq!(&scanned, &heap_decode(&dir, &meta));
+                            prop_assert_eq!(&scanned, want);
+                            prop_assert_eq!(meta.rows, want.len());
+                        }
+                        None => prop_assert!(cat.scan(name).is_err()),
+                    }
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -1,9 +1,11 @@
 //! Shared I/O counters.
 //!
-//! Every component that touches the disk (heap files, buffer pool, run
-//! files, the external sorter) increments a shared [`IoStats`] handle, so an
+//! Every component that touches the disk (heap files, run files, the
+//! external sorter) increments a shared [`IoStats`] handle, so an
 //! experiment can report exactly how many page reads/writes a plan cost —
 //! the "number of disk accesses" axis of the paper's Section 4.1 tradeoff.
+//! The catalog also counts its row-snapshot hits and misses here, so the
+//! same handle shows how often a scan was served without touching disk.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,8 +17,8 @@ struct Counters {
     pages_written: AtomicU64,
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
-    buffer_hits: AtomicU64,
-    buffer_misses: AtomicU64,
+    snapshot_hits: AtomicU64,
+    snapshot_misses: AtomicU64,
 }
 
 /// A cheaply cloneable handle onto shared I/O counters.
@@ -36,10 +38,10 @@ pub struct IoSnapshot {
     pub bytes_read: u64,
     /// Bytes written to disk.
     pub bytes_written: u64,
-    /// Buffer-pool hits.
-    pub buffer_hits: u64,
-    /// Buffer-pool misses (each implies a page read).
-    pub buffer_misses: u64,
+    /// Relation reads served from the catalog's decoded row snapshot.
+    pub snapshot_hits: u64,
+    /// Relation reads that decoded the heap file (each implies page reads).
+    pub snapshot_misses: u64,
 }
 
 impl IoStats {
@@ -60,14 +62,14 @@ impl IoStats {
         self.inner.bytes_written.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Record a buffer-pool hit.
+    /// Record a read served from an in-memory snapshot.
     pub fn record_hit(&self) {
-        self.inner.buffer_hits.fetch_add(1, Ordering::Relaxed);
+        self.inner.snapshot_hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record a buffer-pool miss.
+    /// Record a read that had to go to disk to fill a snapshot.
     pub fn record_miss(&self) {
-        self.inner.buffer_misses.fetch_add(1, Ordering::Relaxed);
+        self.inner.snapshot_misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Snapshot the current counter values.
@@ -77,8 +79,8 @@ impl IoStats {
             pages_written: self.inner.pages_written.load(Ordering::Relaxed),
             bytes_read: self.inner.bytes_read.load(Ordering::Relaxed),
             bytes_written: self.inner.bytes_written.load(Ordering::Relaxed),
-            buffer_hits: self.inner.buffer_hits.load(Ordering::Relaxed),
-            buffer_misses: self.inner.buffer_misses.load(Ordering::Relaxed),
+            snapshot_hits: self.inner.snapshot_hits.load(Ordering::Relaxed),
+            snapshot_misses: self.inner.snapshot_misses.load(Ordering::Relaxed),
         }
     }
 }
@@ -91,8 +93,8 @@ impl IoSnapshot {
             pages_written: self.pages_written - earlier.pages_written,
             bytes_read: self.bytes_read - earlier.bytes_read,
             bytes_written: self.bytes_written - earlier.bytes_written,
-            buffer_hits: self.buffer_hits - earlier.buffer_hits,
-            buffer_misses: self.buffer_misses - earlier.buffer_misses,
+            snapshot_hits: self.snapshot_hits - earlier.snapshot_hits,
+            snapshot_misses: self.snapshot_misses - earlier.snapshot_misses,
         }
     }
 }
@@ -101,13 +103,13 @@ impl fmt::Display for IoSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "read {} pages ({} B), wrote {} pages ({} B), buffer {}/{} hit/miss",
+            "read {} pages ({} B), wrote {} pages ({} B), snapshot {}/{} hit/miss",
             self.pages_read,
             self.bytes_read,
             self.pages_written,
             self.bytes_written,
-            self.buffer_hits,
-            self.buffer_misses
+            self.snapshot_hits,
+            self.snapshot_misses
         )
     }
 }
@@ -128,8 +130,8 @@ mod tests {
         assert_eq!(snap.pages_read, 2);
         assert_eq!(snap.bytes_read, 8192);
         assert_eq!(snap.pages_written, 1);
-        assert_eq!(snap.buffer_hits, 1);
-        assert_eq!(snap.buffer_misses, 1);
+        assert_eq!(snap.snapshot_hits, 1);
+        assert_eq!(snap.snapshot_misses, 1);
     }
 
     #[test]

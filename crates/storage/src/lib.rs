@@ -7,16 +7,15 @@
 //! than an assumed one:
 //!
 //! * slotted [`page::Page`]s and on-disk [`heap::HeapFile`]s,
-//! * an LRU [`buffer::BufferPool`] with pin/unpin semantics,
 //! * sequential sorted [`run::RunWriter`]/[`run::RunReader`] files,
 //! * an [`sort::ExternalSorter`] (in-memory runs + k-way merge) that
 //!   produces the "properly sorted" streams every Section 4 operator
 //!   requires,
 //! * a [`catalog::Catalog`] naming relations with schemas and statistics,
+//!   serving each relation's rows from one decoded, shared snapshot,
 //! * [`iostats::IoStats`] counters so experiments can report passes and
 //!   page I/O exactly.
 
-pub mod buffer;
 pub mod catalog;
 pub mod codec;
 pub mod heap;
@@ -27,7 +26,6 @@ pub mod run;
 pub mod sort;
 pub mod stage;
 
-pub use buffer::BufferPool;
 pub use catalog::{Catalog, RelationMeta};
 pub use codec::Codec;
 pub use heap::HeapFile;

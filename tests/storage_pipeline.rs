@@ -1,9 +1,8 @@
 //! Storage-layer integration: heap files → external sort → stream
-//! operators, with page-I/O accounting; catalog persistence; buffer-pool
-//! backed access patterns.
+//! operators, with page-I/O accounting; catalog persistence and its
+//! decoded row snapshots.
 
 use tdb::prelude::*;
-use tdb::storage::{BufferPool, Page};
 
 fn tmp(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("tdb-storepipe-{}-{tag}", std::process::id()));
@@ -108,44 +107,6 @@ fn catalog_round_trip_with_stats_and_orders() {
 }
 
 #[test]
-fn buffer_pool_serves_hot_pages_from_memory() {
-    let io = IoStats::new();
-    let dir = tmp("pool");
-    // Build a small page file by hand.
-    let path = dir.join("data.pages");
-    {
-        use std::io::Write;
-        let mut f = std::fs::File::create(&path).unwrap();
-        for i in 0..8u8 {
-            let mut p = Page::new();
-            p.insert(&[i; 16]).unwrap();
-            f.write_all(p.as_bytes()).unwrap();
-        }
-    }
-    let pool = BufferPool::new(4, io.clone());
-    let file = pool.register(
-        std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&path)
-            .unwrap(),
-    );
-    // Touch pages 0..4 twice: second round must be all hits.
-    for round in 0..2 {
-        for page_no in 0..4u64 {
-            let p = pool.pin(file, page_no).unwrap();
-            assert_eq!(u64::from(p.get(0).unwrap()[0]), page_no);
-            pool.unpin(file, page_no);
-            let _ = round;
-        }
-    }
-    let snap = io.snapshot();
-    assert_eq!(snap.buffer_misses, 4);
-    assert_eq!(snap.buffer_hits, 4);
-    assert_eq!(snap.pages_read, 4);
-}
-
-#[test]
 fn corrupted_heap_is_detected_not_misread() {
     let io = IoStats::new();
     let dir = tmp("corrupt");
@@ -178,6 +139,27 @@ fn query_execution_reads_from_disk_each_run() {
     assert_eq!(out.rows.len(), 2); // Smith and Jones reached Full
     let delta = catalog.io().snapshot().since(&io_before);
     assert!(delta.pages_read >= 1, "scan must hit storage");
+}
+
+#[test]
+fn warm_query_run_is_served_from_the_snapshot() {
+    let dir = tmp("warm");
+    let catalog = tdb::faculty_catalog(&dir, &FacultyGen::figure1_instance()).unwrap();
+    let (logical, _) = compile(
+        "range of f is Faculty\nretrieve (N=f.Name) where f.Rank = \"Full\"",
+        &catalog,
+    )
+    .unwrap();
+    let physical = plan(&conventional_optimize(logical), PlannerConfig::stream()).unwrap();
+    let cold = physical.execute(&catalog, ExecOptions::default()).unwrap();
+    let before = catalog.io().snapshot();
+    let warm = physical.execute(&catalog, ExecOptions::default()).unwrap();
+    let delta = catalog.io().snapshot().since(&before);
+    assert_eq!(warm.rows, cold.rows);
+    assert_eq!(warm.stats, cold.stats);
+    assert_eq!(delta.pages_read, 0, "a warm run decodes nothing");
+    assert_eq!(delta.snapshot_misses, 0);
+    assert!(delta.snapshot_hits >= 1);
 }
 
 #[test]
