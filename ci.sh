@@ -63,6 +63,13 @@ cargo clippy --workspace --all-targets -- -D warnings -W clippy::pedantic \
 # that are debug_assert-tier in normal builds become hard asserts in
 # these optimized runs.
 
+# Bounded parallel-scaling check (E15): the time-partitioned Contain-join
+# at K ∈ {1, 2, 4, 8} on a 40k/side workload — every K must return the
+# K=1 pair count (and report it as `emitted`), and the runtime workspace
+# peak must stay under the static cap. Hard-capped at 60.
+echo "==> parallel scaling (E15, bounded)"
+timeout 60 cargo run --release -p tdb-bench --features check --bin experiments -- parallel
+
 # Bounded live-ingestion soak (E16): replay a generated workload through
 # the live engine and assert the runtime workspace stays under the
 # statically proven cap. Runs in a few seconds; hard-capped at 60.
@@ -91,8 +98,8 @@ echo "==> batch equivalence + bench (E19, bounded)"
 timeout 60 cargo run --release -p tdb-bench --features check --bin experiments -- batch
 
 # Bounded sink bench (E21): the E19 40k/side Contain-join re-measured
-# through the push dispatch — streamed chunks equal the materialized
-# output, count-only totals agree, workspace peaks stay under the static
+# through the push dispatch — streamed and count-only totals equal the
+# collected output's length, workspace peaks stay under the static
 # cap (cap_exceeded must be 0), and the count-path speedup over
 # materialization is asserted ≥ 1.8×. Hard-capped at 60.
 echo "==> streaming sink bench (E21, bounded)"

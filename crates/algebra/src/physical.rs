@@ -3,17 +3,21 @@
 //! A [`PhysicalPlan`] binds each logical operator to an implementation:
 //! sequential scans over the catalog's heap files, filters, projections,
 //! merge equi-joins, the §4 stream temporal operators, and nested-loop
-//! fallbacks. Operators exchange materialized row vectors (simple,
-//! measurable); the stream operators of `tdb-stream` run inside the join
-//! nodes over [`PeriodRow`] wrappers and report their workspace high-water
-//! marks into [`ExecStats`].
+//! fallbacks. The executor is one push pipeline: every node pushes its
+//! output rows into a [`RowSink`], and a node that needs its inputs
+//! materialized runs them into a [`CollectSink`]. The stream operators
+//! of `tdb-stream` run inside the join nodes over [`PeriodRow`] wrappers,
+//! emit chunk by chunk as they drain, and report their workspace
+//! high-water marks into [`ExecStats`].
 //!
 //! Sorting is performed lazily inside the nodes that need it: if the input
 //! already satisfies the required order (verified in O(n)) the sort is
 //! skipped and *not* counted — making "interesting orders" measurable, as
 //! §4.1's tradeoff demands.
 
-use crate::expr::{display_conjunction, eval_conjunction, resolve_all, Atom, ColumnRef};
+use crate::expr::{
+    display_conjunction, eval_conjunction, resolve_all, Atom, ColumnRef, ResolvedAtom,
+};
 use crate::logical::Scope;
 use crate::pattern::TemporalPattern;
 use std::fmt;
@@ -21,10 +25,9 @@ use std::time::Instant;
 use tdb_core::{PeriodRow, Row, StreamOrder, TdbError, TdbResult, Temporal};
 use tdb_storage::Catalog;
 use tdb_stream::{
-    from_sorted_vec, parallel_join, parallel_join_each, parallel_semijoin, parallel_semijoin_each,
-    run_join_kind, run_join_kind_count, run_join_kind_each, run_semijoin_kind,
-    run_semijoin_kind_each, CollectSink, Instrumented, MergeEquiJoin, OpConfig, OpMetrics,
-    OpReport, OverlapMode, ParallelPattern, RowSink, SinkStats, StreamOpKind, TupleStream,
+    from_sorted_vec, from_vec, parallel_join_each, parallel_semijoin_each, pull_each,
+    run_join_kind_each, run_semijoin_kind_each, CollectSink, Emit, Instrumented, MergeEquiJoin,
+    OpConfig, OpMetrics, OpReport, ParallelPattern, RowSink, SinkStats, StreamOpKind, TupleStream,
     WorkspaceStats, DEFAULT_BATCH_ROWS,
 };
 
@@ -45,8 +48,8 @@ pub struct ExecOptions<'a> {
     /// Push-mode output sink. When set, result rows are pushed into it as
     /// operators drain — chunk by chunk, honoring its early-termination
     /// signal — and [`QueryOutput::rows`] comes back empty. When `None`,
-    /// the executor collects into an internal [`CollectSink`] and returns
-    /// the rows, preserving the classic materializing behaviour.
+    /// the executor collects the rows internally and returns them in
+    /// [`QueryOutput::rows`].
     pub sink: Option<&'a mut dyn RowSink>,
 }
 
@@ -119,6 +122,33 @@ pub struct ExecStats {
     pub output_rows: usize,
 }
 
+impl ExecStats {
+    /// Fold a stream operator occurrence over `partitions` — begun at
+    /// `started`, ending now — into the totals and, when tracing, record
+    /// its observation.
+    fn observe(
+        &mut self,
+        trace: Option<&mut Vec<OpObservation>>,
+        kind: StreamOpKind,
+        partitions: usize,
+        report: OpReport,
+        started: Instant,
+    ) {
+        self.comparisons += report.metrics.comparisons as u64;
+        self.max_workspace = self.max_workspace.max(report.max_workspace());
+        if let Some(t) = trace {
+            t.push(OpObservation {
+                operator: kind.to_string(),
+                kind: Some(kind),
+                partitions,
+                report,
+                started,
+                elapsed_us: started.elapsed().as_micros() as u64,
+            });
+        }
+    }
+}
+
 /// The result of executing a physical plan.
 #[derive(Debug, Clone)]
 pub struct QueryOutput {
@@ -155,26 +185,6 @@ pub struct OpObservation {
     /// own work (sorting, streaming, residual filtering) — child plans
     /// excluded, so the engine can build a stage span per operator.
     pub elapsed_us: u64,
-}
-
-impl OpObservation {
-    /// A stream-operator occurrence over `partitions` that began at
-    /// `started` and ends now.
-    fn new(
-        kind: StreamOpKind,
-        partitions: usize,
-        report: OpReport,
-        started: Instant,
-    ) -> OpObservation {
-        OpObservation {
-            operator: kind.to_string(),
-            kind: Some(kind),
-            partitions,
-            report,
-            started,
-            elapsed_us: started.elapsed().as_micros() as u64,
-        }
-    }
 }
 
 /// A physical operator tree.
@@ -344,7 +354,7 @@ impl PhysicalPlan {
     /// execution entry point.
     ///
     /// Output rows flow through a push [`RowSink`]: the one in `opts`, or
-    /// an internal [`CollectSink`] whose contents come back in
+    /// an internal collector whose contents come back in
     /// [`QueryOutput::rows`] when none is given. Either way
     /// [`ExecStats::output_rows`] counts the rows offered to the sink
     /// (which a limiting sink may have declined to retain).
@@ -352,53 +362,52 @@ impl PhysicalPlan {
         let cfg = opts.op_config();
         let mut stats = ExecStats::default();
         let mut trace = Vec::new();
-        let collect_trace = opts.collect_trace;
+        let collect_trace = opts.collect_trace.then_some(&mut trace);
         let scope = self.scope(catalog)?;
-        let rows = match opts.sink {
-            Some(sink) => {
-                let pushed = self.run_sink(
-                    catalog,
-                    cfg,
-                    &mut stats,
-                    collect_trace.then_some(&mut trace),
-                    sink,
-                )?;
-                stats.output_rows = pushed;
-                Vec::new()
-            }
-            None => {
-                let mut collect = CollectSink::new();
-                let pushed = self.run_sink(
-                    catalog,
-                    cfg,
-                    &mut stats,
-                    collect_trace.then_some(&mut trace),
-                    &mut collect,
-                )?;
-                stats.output_rows = pushed;
-                collect.into_rows()
-            }
+        let mut rows = CollectSink::new();
+        let sink: &mut dyn RowSink = match opts.sink {
+            Some(sink) => sink,
+            None => &mut rows,
         };
+        stats.output_rows = self.run(catalog, cfg, &mut stats, collect_trace, sink)?;
         Ok(QueryOutput {
-            rows,
+            rows: rows.into_rows(),
             scope,
             stats,
             trace,
         })
     }
 
+    /// The executor: run the plan, pushing output rows into `sink` as they
+    /// are produced, and return the number of rows offered to it.
+    ///
+    /// Stream temporal joins/semijoins emit chunk by chunk as their
+    /// kernels drain — serially, or time-partitioned under a `Parallel`
+    /// node — and stop when the sink says it has seen enough; a sink that
+    /// declines rows ([`RowSink::wants_rows`] `false`) with no residual
+    /// predicate gets bare counts from the count-only kernels. `Project`
+    /// streams through a projecting adapter. Every other node runs its
+    /// inputs into a collector ([`PhysicalPlan::collect`]) and hands
+    /// its finished result to the sink in one push.
     fn run(
         &self,
         catalog: &Catalog,
         cfg: OpConfig,
         stats: &mut ExecStats,
         mut trace: Option<&mut Vec<OpObservation>>,
-    ) -> TdbResult<(Vec<Row>, Scope)> {
-        match self {
+        sink: &mut dyn RowSink,
+    ) -> TdbResult<usize> {
+        // A `Parallel` node runs its stream child over K time partitions;
+        // every other node runs serially (K = 1).
+        let (node, k) = match self {
+            PhysicalPlan::Parallel { partitions, child } => (&**child, *partitions),
+            _ => (self, 1),
+        };
+        match node {
             PhysicalPlan::SeqScan { relation, .. } => {
-                let rows = catalog.rows(relation)?;
-                stats.rows_scanned += rows.len();
-                Ok((rows.to_vec(), self.scope(catalog)?))
+                let snapshot = catalog.rows(relation)?;
+                stats.rows_scanned += snapshot.len();
+                push_rows(sink, snapshot.to_vec())
             }
             PhysicalPlan::Filter { input, atoms } => {
                 let scope = input.scope(catalog)?;
@@ -414,27 +423,32 @@ impl PhysicalPlan {
                         (snapshot.len(), kept)
                     }
                     _ => {
-                        let (rows, _) = input.run(catalog, cfg, stats, trace.as_deref_mut())?;
+                        let (rows, _) = input.collect(catalog, cfg, stats, trace)?;
                         (rows.len(), rows.into_iter().filter(|r| keep(r)).collect())
                     }
                 };
                 stats.comparisons += (offered * atoms.len()) as u64;
                 stats.intermediate_rows += rows.len();
-                Ok((rows, scope))
+                push_rows(sink, rows)
             }
             PhysicalPlan::Project { input, columns } => {
-                let (rows, scope) = input.run(catalog, cfg, stats, trace.as_deref_mut())?;
+                let cscope = input.scope(catalog)?;
                 let indices: Vec<usize> = columns
                     .iter()
-                    .map(|(c, _)| scope.index_of(c))
+                    .map(|(c, _)| cscope.index_of(c))
                     .collect::<TdbResult<_>>()?;
-                let rows: Vec<Row> = rows.iter().map(|r| r.project(&indices)).collect();
-                stats.intermediate_rows += rows.len();
-                Ok((rows, self.scope(catalog)?))
+                let mut adapter = ProjectSink {
+                    indices,
+                    inner: sink,
+                    buf: Vec::new(),
+                };
+                let pushed = input.run(catalog, cfg, stats, trace, &mut adapter)?;
+                stats.intermediate_rows += pushed;
+                Ok(pushed)
             }
             PhysicalPlan::Product { left, right } => {
-                let (lrows, lscope) = left.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let (rrows, rscope) = right.run(catalog, cfg, stats, trace.as_deref_mut())?;
+                let (lrows, _) = left.collect(catalog, cfg, stats, trace.as_deref_mut())?;
+                let (rrows, _) = right.collect(catalog, cfg, stats, trace)?;
                 let mut out = Vec::with_capacity(lrows.len() * rrows.len());
                 for l in &lrows {
                     for r in &rrows {
@@ -442,11 +456,11 @@ impl PhysicalPlan {
                     }
                 }
                 stats.intermediate_rows += out.len();
-                Ok((out, lscope.concat(&rscope)))
+                push_rows(sink, out)
             }
             PhysicalPlan::NestedLoop { left, right, atoms } => {
-                let (lrows, lscope) = left.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let (rrows, rscope) = right.run(catalog, cfg, stats, trace.as_deref_mut())?;
+                let (lrows, lscope) = left.collect(catalog, cfg, stats, trace.as_deref_mut())?;
+                let (rrows, rscope) = right.collect(catalog, cfg, stats, trace)?;
                 let scope = lscope.concat(&rscope);
                 let resolved = resolve_all(atoms, |c| scope.index_of(c))?;
                 let mut out = Vec::new();
@@ -460,7 +474,7 @@ impl PhysicalPlan {
                     }
                 }
                 stats.intermediate_rows += out.len();
-                Ok((out, scope))
+                push_rows(sink, out)
             }
             PhysicalPlan::MergeEqui {
                 left,
@@ -469,16 +483,16 @@ impl PhysicalPlan {
                 right_key,
                 residual,
             } => {
-                let (lrows, lscope) = left.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let (rrows, rscope) = right.run(catalog, cfg, stats, trace.as_deref_mut())?;
+                let (lrows, lscope) = left.collect(catalog, cfg, stats, trace.as_deref_mut())?;
+                let (rrows, rscope) = right.collect(catalog, cfg, stats, trace.as_deref_mut())?;
                 let op_t0 = Instant::now();
                 let li = lscope.index_of(left_key)?;
                 let ri = rscope.index_of(right_key)?;
                 let lrows = sort_rows_by_key(lrows, li, stats);
                 let rrows = sort_rows_by_key(rrows, ri, stats);
                 let mut join = MergeEquiJoin::new(
-                    tdb_stream::from_vec(lrows),
-                    tdb_stream::from_vec(rrows),
+                    from_vec(lrows),
+                    from_vec(rrows),
                     move |r: &Row| r.get(li).clone(),
                     move |r: &Row| r.get(ri).clone(),
                 );
@@ -506,7 +520,7 @@ impl PhysicalPlan {
                         elapsed_us: op_t0.elapsed().as_micros() as u64,
                     });
                 }
-                Ok((out, scope))
+                push_rows(sink, out)
             }
             PhysicalPlan::StreamTemporal {
                 left,
@@ -516,31 +530,24 @@ impl PhysicalPlan {
                 pattern,
                 residual,
             } => {
-                let (lrows, lscope) = left.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let (rrows, rscope) = right.run(catalog, cfg, stats, trace.as_deref_mut())?;
+                let (lrows, lscope) = left.collect(catalog, cfg, stats, trace.as_deref_mut())?;
+                let (rrows, rscope) = right.collect(catalog, cfg, stats, trace.as_deref_mut())?;
                 let op_t0 = Instant::now();
-                let lp = lscope.period_of_var(left_var)?;
-                let rp = rscope.period_of_var(right_var)?;
-                let lwrapped = wrap_rows(lrows, lp)?;
-                let rwrapped = wrap_rows(rrows, rp)?;
+                let lwrapped = wrap_rows(lrows, lscope.period_of_var(left_var)?)?;
+                let rwrapped = wrap_rows(rrows, rscope.period_of_var(right_var)?)?;
                 let scope = lscope.concat(&rscope);
-                let resolved = resolve_all(residual, |c| scope.index_of(c))?;
-                let (pairs, report) = run_stream_join(*pattern, cfg, lwrapped, rwrapped, stats)?;
-                stats.max_workspace = stats.max_workspace.max(report.max_workspace());
-                stats.comparisons += report.metrics.comparisons as u64;
-                if let Some(t) = trace {
-                    t.push(OpObservation::new(pattern.join_op().0, 1, report, op_t0));
-                }
-                let mut out = Vec::new();
-                for (l, r) in pairs {
-                    let joined = l.row.concat(&r.row);
-                    stats.comparisons += residual.len() as u64;
-                    if eval_conjunction(&resolved, &joined) {
-                        out.push(joined);
-                    }
-                }
-                stats.intermediate_rows += out.len();
-                Ok((out, scope))
+                let mut emit = JoinEmit {
+                    residual: resolve_all(residual, |c| scope.index_of(c))?,
+                    sink,
+                    pushed: 0,
+                    comparisons: 0,
+                };
+                let (partitions, report) =
+                    stream_join(*pattern, k, cfg, lwrapped, rwrapped, stats, &mut emit)?;
+                stats.comparisons += emit.comparisons;
+                stats.observe(trace, pattern.join_op().0, partitions, report, op_t0);
+                stats.intermediate_rows += emit.pushed;
+                Ok(emit.pushed)
             }
             PhysicalPlan::StreamSemijoin {
                 left,
@@ -549,133 +556,27 @@ impl PhysicalPlan {
                 right_var,
                 pattern,
             } => {
-                let (lrows, lscope) = left.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let (rrows, rscope) = right.run(catalog, cfg, stats, trace.as_deref_mut())?;
+                let (lrows, lscope) = left.collect(catalog, cfg, stats, trace.as_deref_mut())?;
+                let (rrows, rscope) = right.collect(catalog, cfg, stats, trace.as_deref_mut())?;
                 let op_t0 = Instant::now();
-                let lp = lscope.period_of_var(left_var)?;
-                let rp = rscope.period_of_var(right_var)?;
-                let lwrapped = wrap_rows(lrows, lp)?;
-                let rwrapped = wrap_rows(rrows, rp)?;
-                let (kept, report) = run_stream_semijoin(*pattern, cfg, lwrapped, rwrapped, stats)?;
-                stats.max_workspace = stats.max_workspace.max(report.max_workspace());
-                stats.comparisons += report.metrics.comparisons as u64;
-                if let Some(t) = trace {
-                    t.push(OpObservation::new(
-                        pattern.semijoin_op().0,
-                        1,
-                        report,
-                        op_t0,
-                    ));
-                }
-                let out: Vec<Row> = kept.into_iter().map(|p| p.row).collect();
-                stats.intermediate_rows += out.len();
-                Ok((out, lscope))
+                let lwrapped = wrap_rows(lrows, lscope.period_of_var(left_var)?)?;
+                let rwrapped = wrap_rows(rrows, rscope.period_of_var(right_var)?)?;
+                let mut emit = SemiEmit { sink, pushed: 0 };
+                let (partitions, report) =
+                    stream_semijoin(*pattern, k, cfg, lwrapped, rwrapped, stats, &mut emit)?;
+                stats.observe(trace, pattern.semijoin_op().0, partitions, report, op_t0);
+                stats.intermediate_rows += emit.pushed;
+                Ok(emit.pushed)
             }
-            PhysicalPlan::Parallel { partitions, child } => match &**child {
-                PhysicalPlan::StreamTemporal {
-                    left,
-                    right,
-                    left_var,
-                    right_var,
-                    pattern,
-                    residual,
-                } => match parallel_pattern(*pattern) {
-                    None => child.run(catalog, cfg, stats, trace.as_deref_mut()),
-                    Some(ppat) => {
-                        let (lrows, lscope) =
-                            left.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                        let (rrows, rscope) =
-                            right.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                        let op_t0 = Instant::now();
-                        let lwrapped = wrap_rows(lrows, lscope.period_of_var(left_var)?)?;
-                        let rwrapped = wrap_rows(rrows, rscope.period_of_var(right_var)?)?;
-                        note_parallel_sorts(ppat, true, &lwrapped, &rwrapped, stats);
-                        #[cfg(any(debug_assertions, feature = "check"))]
-                        let ws_cap = parallel_ws_cap(ppat, true, &lwrapped, &rwrapped);
-                        let run = parallel_join(ppat, lwrapped, rwrapped, *partitions, cfg)?;
-                        #[cfg(any(debug_assertions, feature = "check"))]
-                        assert!(
-                            run.report.max_workspace() <= ws_cap,
-                            "parallel {} workspace {} exceeded the static cap {ws_cap}",
-                            ppat.join_kind(),
-                            run.report.max_workspace()
-                        );
-                        stats.max_workspace = stats.max_workspace.max(run.report.max_workspace());
-                        stats.comparisons += run.report.metrics.comparisons as u64;
-                        if let Some(t) = trace {
-                            t.push(OpObservation::new(
-                                ppat.join_kind(),
-                                *partitions,
-                                run.report,
-                                op_t0,
-                            ));
-                        }
-                        let scope = lscope.concat(&rscope);
-                        let resolved = resolve_all(residual, |c| scope.index_of(c))?;
-                        let mut out = Vec::new();
-                        for (l, r) in run.items {
-                            let joined = l.row.concat(&r.row);
-                            stats.comparisons += residual.len() as u64;
-                            if eval_conjunction(&resolved, &joined) {
-                                out.push(joined);
-                            }
-                        }
-                        stats.intermediate_rows += out.len();
-                        Ok((out, scope))
-                    }
-                },
-                PhysicalPlan::StreamSemijoin {
-                    left,
-                    right,
-                    left_var,
-                    right_var,
-                    pattern,
-                } => match parallel_pattern(*pattern) {
-                    None => child.run(catalog, cfg, stats, trace.as_deref_mut()),
-                    Some(ppat) => {
-                        let (lrows, lscope) =
-                            left.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                        let (rrows, rscope) =
-                            right.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                        let op_t0 = Instant::now();
-                        let lwrapped = wrap_rows(lrows, lscope.period_of_var(left_var)?)?;
-                        let rwrapped = wrap_rows(rrows, rscope.period_of_var(right_var)?)?;
-                        note_parallel_sorts(ppat, false, &lwrapped, &rwrapped, stats);
-                        #[cfg(any(debug_assertions, feature = "check"))]
-                        let ws_cap = parallel_ws_cap(ppat, false, &lwrapped, &rwrapped);
-                        let run = parallel_semijoin(ppat, lwrapped, rwrapped, *partitions, cfg)?;
-                        #[cfg(any(debug_assertions, feature = "check"))]
-                        assert!(
-                            run.report.max_workspace() <= ws_cap,
-                            "parallel {} workspace {} exceeded the static cap {ws_cap}",
-                            ppat.semijoin_kind(),
-                            run.report.max_workspace()
-                        );
-                        stats.max_workspace = stats.max_workspace.max(run.report.max_workspace());
-                        stats.comparisons += run.report.metrics.comparisons as u64;
-                        if let Some(t) = trace {
-                            t.push(OpObservation::new(
-                                ppat.semijoin_kind(),
-                                *partitions,
-                                run.report,
-                                op_t0,
-                            ));
-                        }
-                        let out: Vec<Row> = run.items.into_iter().map(|p| p.row).collect();
-                        stats.intermediate_rows += out.len();
-                        Ok((out, lscope))
-                    }
-                },
-                // Non-partitionable child (a non-stream node): degrade
-                // gracefully to serial execution.
-                other => other.run(catalog, cfg, stats, trace.as_deref_mut()),
-            },
+            // A `Parallel` directly under a `Parallel`: the inner fan-out
+            // applies.
+            PhysicalPlan::Parallel { .. } => node.run(catalog, cfg, stats, trace, sink),
             PhysicalPlan::SelfSemijoin {
                 input,
                 var,
                 contained,
             } => {
-                let (rows, scope) = input.run(catalog, cfg, stats, trace.as_deref_mut())?;
+                let (rows, scope) = input.collect(catalog, cfg, stats, trace.as_deref_mut())?;
                 let op_t0 = Instant::now();
                 let p = scope.period_of_var(var)?;
                 let wrapped = wrap_rows(rows, p)?;
@@ -691,19 +592,15 @@ impl PhysicalPlan {
                     let v = op.collect_vec()?;
                     (v, op.report())
                 };
-                stats.comparisons += report.metrics.comparisons as u64;
-                stats.max_workspace = stats.max_workspace.max(report.max_workspace());
-                if let Some(t) = trace {
-                    let kind = if *contained {
-                        StreamOpKind::ContainedSelfSemijoin
-                    } else {
-                        StreamOpKind::ContainSelfSemijoin
-                    };
-                    t.push(OpObservation::new(kind, 1, report, op_t0));
-                }
+                let kind = if *contained {
+                    StreamOpKind::ContainedSelfSemijoin
+                } else {
+                    StreamOpKind::ContainSelfSemijoin
+                };
+                stats.observe(trace, kind, 1, report, op_t0);
                 let out: Vec<Row> = out_rows.into_iter().map(|p| p.row).collect();
                 stats.intermediate_rows += out.len();
-                Ok((out, scope))
+                push_rows(sink, out)
             }
             PhysicalPlan::MergeSemijoin {
                 left,
@@ -711,8 +608,8 @@ impl PhysicalPlan {
                 left_key,
                 right_key,
             } => {
-                let (lrows, lscope) = left.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let (rrows, rscope) = right.run(catalog, cfg, stats, trace.as_deref_mut())?;
+                let (lrows, lscope) = left.collect(catalog, cfg, stats, trace.as_deref_mut())?;
+                let (rrows, rscope) = right.collect(catalog, cfg, stats, trace)?;
                 let li = lscope.index_of(left_key)?;
                 let ri = rscope.index_of(right_key)?;
                 let lrows = sort_rows_by_key(lrows, li, stats);
@@ -726,11 +623,11 @@ impl PhysicalPlan {
                     .filter(|l| rkeys.binary_search(l.get(li)).is_ok())
                     .collect();
                 stats.intermediate_rows += out.len();
-                Ok((out, lscope))
+                push_rows(sink, out)
             }
             PhysicalPlan::NestedSemijoin { left, right, atoms } => {
-                let (lrows, lscope) = left.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let (rrows, rscope) = right.run(catalog, cfg, stats, trace)?;
+                let (lrows, lscope) = left.collect(catalog, cfg, stats, trace.as_deref_mut())?;
+                let (rrows, rscope) = right.collect(catalog, cfg, stats, trace)?;
                 let scope = lscope.concat(&rscope);
                 let resolved = resolve_all(atoms, |c| scope.index_of(c))?;
                 let mut out = Vec::new();
@@ -748,298 +645,23 @@ impl PhysicalPlan {
                     }
                 }
                 stats.intermediate_rows += out.len();
-                Ok((out, lscope))
+                push_rows(sink, out)
             }
         }
     }
 
-    /// Push-mode execution: run the plan, streaming output rows into
-    /// `sink` as the root operator drains instead of materializing them.
-    ///
-    /// Stream temporal joins/semijoins (serial and time-partitioned) emit
-    /// chunk by chunk, honoring the sink's early-termination signal;
-    /// `Project` roots stream through a projecting adapter; a sink that
-    /// declines rows ([`RowSink::wants_rows`] `false`) with no residual
-    /// predicate routes through the count-only kernels, skipping payload
-    /// widening entirely. Other roots materialize as before and hand the
-    /// finished vector over in one push. Returns the number of rows
-    /// offered to the sink.
-    fn run_sink(
+    /// Run the plan into a row vector, for nodes that need their
+    /// inputs materialized; returns the rows with the plan's scope.
+    fn collect(
         &self,
         catalog: &Catalog,
         cfg: OpConfig,
         stats: &mut ExecStats,
-        mut trace: Option<&mut Vec<OpObservation>>,
-        sink: &mut dyn RowSink,
-    ) -> TdbResult<usize> {
-        match self {
-            PhysicalPlan::Project { input, columns } => {
-                let cscope = input.scope(catalog)?;
-                let indices: Vec<usize> = columns
-                    .iter()
-                    .map(|(c, _)| cscope.index_of(c))
-                    .collect::<TdbResult<_>>()?;
-                let mut adapter = ProjectSink {
-                    indices,
-                    inner: sink,
-                    buf: Vec::new(),
-                };
-                let pushed = input.run_sink(catalog, cfg, stats, trace, &mut adapter)?;
-                stats.intermediate_rows += pushed;
-                Ok(pushed)
-            }
-            PhysicalPlan::StreamTemporal {
-                left,
-                right,
-                left_var,
-                right_var,
-                pattern,
-                residual,
-            } => {
-                let (lrows, lscope) = left.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let (rrows, rscope) = right.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let op_t0 = Instant::now();
-                let lwrapped = wrap_rows(lrows, lscope.period_of_var(left_var)?)?;
-                let rwrapped = wrap_rows(rrows, rscope.period_of_var(right_var)?)?;
-                let scope = lscope.concat(&rscope);
-                let resolved = resolve_all(residual, |c| scope.index_of(c))?;
-                let mut pushed = 0usize;
-                let mut comparisons = 0u64;
-                let report = if !sink.wants_rows() && resolved.is_empty() {
-                    let (n, report) =
-                        run_stream_join_count(*pattern, cfg, lwrapped, rwrapped, stats)?;
-                    pushed = n;
-                    sink.push_count(n)?;
-                    report
-                } else {
-                    let residual_len = residual.len() as u64;
-                    let (_, report) = run_stream_join_each(
-                        *pattern,
-                        cfg,
-                        lwrapped,
-                        rwrapped,
-                        stats,
-                        &mut |chunk| {
-                            let mut out = Vec::with_capacity(chunk.len());
-                            for (l, r) in chunk {
-                                comparisons += residual_len;
-                                let joined = l.row.concat(&r.row);
-                                if eval_conjunction(&resolved, &joined) {
-                                    out.push(joined);
-                                }
-                            }
-                            pushed += out.len();
-                            if out.is_empty() {
-                                return Ok(true);
-                            }
-                            sink.push(&mut out)
-                        },
-                    )?;
-                    report
-                };
-                stats.comparisons += comparisons + report.metrics.comparisons as u64;
-                stats.max_workspace = stats.max_workspace.max(report.max_workspace());
-                if let Some(t) = trace {
-                    t.push(OpObservation::new(pattern.join_op().0, 1, report, op_t0));
-                }
-                stats.intermediate_rows += pushed;
-                Ok(pushed)
-            }
-            PhysicalPlan::StreamSemijoin {
-                left,
-                right,
-                left_var,
-                right_var,
-                pattern,
-            } => {
-                let (lrows, lscope) = left.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let (rrows, rscope) = right.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let op_t0 = Instant::now();
-                let lwrapped = wrap_rows(lrows, lscope.period_of_var(left_var)?)?;
-                let rwrapped = wrap_rows(rrows, rscope.period_of_var(right_var)?)?;
-                let wants_rows = sink.wants_rows();
-                let mut pushed = 0usize;
-                let (_, report) = run_stream_semijoin_each(
-                    *pattern,
-                    cfg,
-                    lwrapped,
-                    rwrapped,
-                    stats,
-                    &mut |chunk| {
-                        pushed += chunk.len();
-                        if wants_rows {
-                            let mut out: Vec<Row> = chunk.into_iter().map(|p| p.row).collect();
-                            sink.push(&mut out)
-                        } else {
-                            sink.push_count(chunk.len())
-                        }
-                    },
-                )?;
-                stats.max_workspace = stats.max_workspace.max(report.max_workspace());
-                stats.comparisons += report.metrics.comparisons as u64;
-                if let Some(t) = trace {
-                    t.push(OpObservation::new(
-                        pattern.semijoin_op().0,
-                        1,
-                        report,
-                        op_t0,
-                    ));
-                }
-                stats.intermediate_rows += pushed;
-                Ok(pushed)
-            }
-            PhysicalPlan::Parallel { partitions, child } => match &**child {
-                PhysicalPlan::StreamTemporal {
-                    left,
-                    right,
-                    left_var,
-                    right_var,
-                    pattern,
-                    residual,
-                } => match parallel_pattern(*pattern) {
-                    None => child.run_sink(catalog, cfg, stats, trace, sink),
-                    Some(ppat) => {
-                        let (lrows, lscope) =
-                            left.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                        let (rrows, rscope) =
-                            right.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                        let op_t0 = Instant::now();
-                        let lwrapped = wrap_rows(lrows, lscope.period_of_var(left_var)?)?;
-                        let rwrapped = wrap_rows(rrows, rscope.period_of_var(right_var)?)?;
-                        note_parallel_sorts(ppat, true, &lwrapped, &rwrapped, stats);
-                        #[cfg(any(debug_assertions, feature = "check"))]
-                        let ws_cap = parallel_ws_cap(ppat, true, &lwrapped, &rwrapped);
-                        let scope = lscope.concat(&rscope);
-                        let resolved = resolve_all(residual, |c| scope.index_of(c))?;
-                        let wants_rows = sink.wants_rows();
-                        let residual_len = residual.len() as u64;
-                        let mut comparisons = 0u64;
-                        let mut pushed = 0usize;
-                        let run = parallel_join_each(
-                            ppat,
-                            lwrapped,
-                            rwrapped,
-                            *partitions,
-                            cfg,
-                            &mut |chunk| {
-                                if !wants_rows && resolved.is_empty() {
-                                    pushed += chunk.len();
-                                    return sink.push_count(chunk.len());
-                                }
-                                let mut out = Vec::with_capacity(chunk.len());
-                                for (l, r) in chunk {
-                                    comparisons += residual_len;
-                                    let joined = l.row.concat(&r.row);
-                                    if eval_conjunction(&resolved, &joined) {
-                                        out.push(joined);
-                                    }
-                                }
-                                pushed += out.len();
-                                if out.is_empty() {
-                                    return Ok(true);
-                                }
-                                sink.push(&mut out)
-                            },
-                        )?;
-                        #[cfg(any(debug_assertions, feature = "check"))]
-                        assert!(
-                            run.report.max_workspace() <= ws_cap,
-                            "parallel {} workspace {} exceeded the static cap {ws_cap}",
-                            ppat.join_kind(),
-                            run.report.max_workspace()
-                        );
-                        stats.max_workspace = stats.max_workspace.max(run.report.max_workspace());
-                        stats.comparisons += comparisons + run.report.metrics.comparisons as u64;
-                        if let Some(t) = trace {
-                            t.push(OpObservation::new(
-                                ppat.join_kind(),
-                                *partitions,
-                                run.report,
-                                op_t0,
-                            ));
-                        }
-                        stats.intermediate_rows += pushed;
-                        Ok(pushed)
-                    }
-                },
-                PhysicalPlan::StreamSemijoin {
-                    left,
-                    right,
-                    left_var,
-                    right_var,
-                    pattern,
-                } => match parallel_pattern(*pattern) {
-                    None => child.run_sink(catalog, cfg, stats, trace, sink),
-                    Some(ppat) => {
-                        let (lrows, lscope) =
-                            left.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                        let (rrows, rscope) =
-                            right.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                        let op_t0 = Instant::now();
-                        let lwrapped = wrap_rows(lrows, lscope.period_of_var(left_var)?)?;
-                        let rwrapped = wrap_rows(rrows, rscope.period_of_var(right_var)?)?;
-                        note_parallel_sorts(ppat, false, &lwrapped, &rwrapped, stats);
-                        #[cfg(any(debug_assertions, feature = "check"))]
-                        let ws_cap = parallel_ws_cap(ppat, false, &lwrapped, &rwrapped);
-                        let wants_rows = sink.wants_rows();
-                        let mut pushed = 0usize;
-                        let run = parallel_semijoin_each(
-                            ppat,
-                            lwrapped,
-                            rwrapped,
-                            *partitions,
-                            cfg,
-                            &mut |chunk| {
-                                pushed += chunk.len();
-                                if wants_rows {
-                                    let mut out: Vec<Row> =
-                                        chunk.into_iter().map(|p| p.row).collect();
-                                    sink.push(&mut out)
-                                } else {
-                                    sink.push_count(chunk.len())
-                                }
-                            },
-                        )?;
-                        #[cfg(any(debug_assertions, feature = "check"))]
-                        assert!(
-                            run.report.max_workspace() <= ws_cap,
-                            "parallel {} workspace {} exceeded the static cap {ws_cap}",
-                            ppat.semijoin_kind(),
-                            run.report.max_workspace()
-                        );
-                        stats.max_workspace = stats.max_workspace.max(run.report.max_workspace());
-                        stats.comparisons += run.report.metrics.comparisons as u64;
-                        if let Some(t) = trace {
-                            t.push(OpObservation::new(
-                                ppat.semijoin_kind(),
-                                *partitions,
-                                run.report,
-                                op_t0,
-                            ));
-                        }
-                        stats.intermediate_rows += pushed;
-                        Ok(pushed)
-                    }
-                },
-                // Non-partitionable child: degrade gracefully to the
-                // child's own sink path.
-                other => other.run_sink(catalog, cfg, stats, trace, sink),
-            },
-            // Every other root materializes exactly as before and hands
-            // the finished vector to the sink in one push.
-            _ => {
-                let (mut rows, _scope) = self.run(catalog, cfg, stats, trace)?;
-                let n = rows.len();
-                if sink.wants_rows() {
-                    if !rows.is_empty() {
-                        sink.push(&mut rows)?;
-                    }
-                } else {
-                    sink.push_count(n)?;
-                }
-                Ok(n)
-            }
-        }
+        trace: Option<&mut Vec<OpObservation>>,
+    ) -> TdbResult<(Vec<Row>, Scope)> {
+        let mut rows = CollectSink::new();
+        self.run(catalog, cfg, stats, trace, &mut rows)?;
+        Ok((rows.into_rows(), self.scope(catalog)?))
     }
 
     /// Render the physical plan as an indented tree (EXPLAIN output).
@@ -1162,9 +784,21 @@ impl fmt::Display for PhysicalPlan {
     }
 }
 
+/// Hand a finished result to `sink` in one push (a bare count, if the sink
+/// declines rows); returns the number of rows offered.
+fn push_rows(sink: &mut dyn RowSink, mut rows: Vec<Row>) -> TdbResult<usize> {
+    let n = rows.len();
+    if !sink.wants_rows() {
+        sink.push_count(n)?;
+    } else if n > 0 {
+        sink.push(&mut rows)?;
+    }
+    Ok(n)
+}
+
 /// Sink adapter that projects every pushed row through `indices` before
-/// forwarding, letting `Project` roots stream (and `\set limit`
-/// early-terminate) instead of materializing their input.
+/// forwarding, letting `Project` stream (and `\set limit` early-terminate)
+/// instead of materializing its input.
 struct ProjectSink<'a> {
     indices: Vec<usize>,
     inner: &'a mut dyn RowSink,
@@ -1190,6 +824,91 @@ impl RowSink for ProjectSink<'_> {
 
     fn finish(&mut self) -> SinkStats {
         self.inner.finish()
+    }
+}
+
+/// The consumer of a stream join's pairs: widens each pair into a joined
+/// row, applies the residual predicate and pushes the survivors into the
+/// sink. With no residual, a sink that declines rows gets bare counts —
+/// and the join runs its count-only kernels.
+struct JoinEmit<'a> {
+    residual: Vec<ResolvedAtom>,
+    sink: &'a mut dyn RowSink,
+    /// Rows offered to the sink.
+    pushed: usize,
+    /// Residual-predicate evaluations.
+    comparisons: u64,
+}
+
+impl Emit<(PeriodRow, PeriodRow)> for JoinEmit<'_> {
+    fn wants_items(&self) -> bool {
+        self.sink.wants_rows() || !self.residual.is_empty()
+    }
+
+    fn push(&mut self, chunk: Vec<(PeriodRow, PeriodRow)>) -> TdbResult<bool> {
+        let mut out = Vec::with_capacity(chunk.len());
+        for (l, r) in chunk {
+            self.comparisons += self.residual.len() as u64;
+            let joined = l.row.concat(&r.row);
+            if eval_conjunction(&self.residual, &joined) {
+                out.push(joined);
+            }
+        }
+        self.pushed += out.len();
+        if out.is_empty() {
+            return Ok(true);
+        }
+        self.sink.push(&mut out)
+    }
+
+    fn push_count(&mut self, n: usize) -> TdbResult<bool> {
+        self.pushed += n;
+        self.sink.push_count(n)
+    }
+}
+
+/// The consumer of a stream semijoin's kept left rows: pushes them (or,
+/// to a sink that declines rows, their count) into the sink.
+struct SemiEmit<'a> {
+    sink: &'a mut dyn RowSink,
+    /// Rows offered to the sink.
+    pushed: usize,
+}
+
+impl Emit<PeriodRow> for SemiEmit<'_> {
+    fn wants_items(&self) -> bool {
+        self.sink.wants_rows()
+    }
+
+    fn push(&mut self, chunk: Vec<PeriodRow>) -> TdbResult<bool> {
+        self.pushed += chunk.len();
+        let mut out: Vec<Row> = chunk.into_iter().map(|p| p.row).collect();
+        self.sink.push(&mut out)
+    }
+
+    fn push_count(&mut self, n: usize) -> TdbResult<bool> {
+        self.pushed += n;
+        self.sink.push_count(n)
+    }
+}
+
+/// Hands pairs an operator produced with its sides swapped (`During` runs
+/// the `Contains` operator, `After` the `Before` one) on in (left, right)
+/// order.
+struct Unswap<'a>(&'a mut dyn Emit<(PeriodRow, PeriodRow)>);
+
+impl Emit<(PeriodRow, PeriodRow)> for Unswap<'_> {
+    fn wants_items(&self) -> bool {
+        self.0.wants_items()
+    }
+
+    fn push(&mut self, chunk: Vec<(PeriodRow, PeriodRow)>) -> TdbResult<bool> {
+        self.0
+            .push(chunk.into_iter().map(|(a, b)| (b, a)).collect())
+    }
+
+    fn push_count(&mut self, n: usize) -> TdbResult<bool> {
+        self.0.push_count(n)
     }
 }
 
@@ -1264,6 +983,15 @@ fn note_parallel_sorts(
     }
 }
 
+/// The (left, right) input orders `kind`'s registry entry requires.
+fn required_orders(kind: StreamOpKind) -> (StreamOrder, StreamOrder) {
+    let req = kind.requirement();
+    (
+        req.left().unwrap_or(StreamOrder::TS_ASC),
+        req.right().unwrap_or(StreamOrder::TS_ASC),
+    )
+}
+
 /// Sound static workspace cap for `kind` over these concrete inputs,
 /// derived from sweep statistics by [`crate::cost::workspace_cap`]. Debug
 /// builds — and release builds with the `check` feature, as the CI soak
@@ -1276,331 +1004,117 @@ fn static_ws_cap(kind: StreamOpKind, x: &[PeriodRow], y: &[PeriodRow]) -> usize 
     crate::cost::workspace_cap(kind, &xs, Some(&ys))
 }
 
-/// [`static_ws_cap`] for the parallel driver, normalizing the During swap
-/// the same way [`tdb_stream::parallel_join`] does.
-#[cfg(any(debug_assertions, feature = "check"))]
-fn parallel_ws_cap(ppat: ParallelPattern, join: bool, l: &[PeriodRow], r: &[PeriodRow]) -> usize {
-    let kind = if join {
-        ppat.join_kind()
-    } else {
-        ppat.semijoin_kind()
-    };
-    let (x, y) = if join && ppat == ParallelPattern::During {
-        (r, l)
-    } else {
-        (l, r)
-    };
-    static_ws_cap(kind, x, y)
-}
-
-type PairResult = (Vec<(PeriodRow, PeriodRow)>, OpReport);
-
-fn run_stream_join(
+/// Run the §4 stream join for `pattern` over wrapped inputs, pushing the
+/// matched (left, right) pairs into `emit`: time-partitioned over `fan_out`
+/// ranges when `fan_out > 1` and the pattern partitions, serially otherwise.
+/// The operator and its input orders come from the registry entry the
+/// planner committed to, so the executor cannot drift from the Table 1
+/// preconditions the analyzer certifies. Returns the partition fan-out
+/// used and the operator's report.
+fn stream_join(
     pattern: TemporalPattern,
+    fan_out: usize,
     cfg: OpConfig,
     l: Vec<PeriodRow>,
     r: Vec<PeriodRow>,
     stats: &mut ExecStats,
-) -> TdbResult<PairResult> {
-    match pattern {
-        TemporalPattern::Contains | TemporalPattern::During => {
-            // Normalize to container ⊇ containee; During swaps sides. The
-            // input orderings come from the registry entry of the operator
-            // the planner committed to, so the executor cannot drift from
-            // the Table 1 preconditions the analyzer certifies.
-            let (kind, swap) = pattern.join_op();
-            let req = kind.requirement();
-            let c_ord = req.left().unwrap_or(StreamOrder::TS_ASC);
-            let e_ord = req.right().unwrap_or(StreamOrder::TS_ASC);
-            let (c, e) = if swap { (r, l) } else { (l, r) };
-            let c = sort_wrapped(c, c_ord, stats);
-            let e = sort_wrapped(e, e_ord, stats);
-            #[cfg(any(debug_assertions, feature = "check"))]
-            let ws_cap = static_ws_cap(kind, &c, &e);
-            let (mut pairs, report) = run_join_kind(kind, cfg, c, c_ord, e, e_ord)?;
-            #[cfg(any(debug_assertions, feature = "check"))]
-            assert!(
-                report.max_workspace() <= ws_cap,
-                "{kind} workspace {} exceeded the static cap {ws_cap}",
-                report.max_workspace()
-            );
-            if swap {
-                pairs = pairs.into_iter().map(|(a, b)| (b, a)).collect();
-            }
-            Ok((pairs, report))
-        }
-        TemporalPattern::GeneralOverlap | TemporalPattern::AllenOverlaps => {
-            let mode = if pattern == TemporalPattern::GeneralOverlap {
-                OverlapMode::General
-            } else {
-                OverlapMode::Strict
-            };
-            let (kind, _) = pattern.join_op();
-            let req = kind.requirement();
-            let l_ord = req.left().unwrap_or(StreamOrder::TS_ASC);
-            let r_ord = req.right().unwrap_or(StreamOrder::TS_ASC);
-            let l = sort_wrapped(l, l_ord, stats);
-            let r = sort_wrapped(r, r_ord, stats);
-            #[cfg(any(debug_assertions, feature = "check"))]
-            let ws_cap = static_ws_cap(kind, &l, &r);
-            let (pairs, report) = run_join_kind(kind, cfg.with_mode(mode), l, l_ord, r, r_ord)?;
-            #[cfg(any(debug_assertions, feature = "check"))]
-            assert!(
-                report.max_workspace() <= ws_cap,
-                "{kind} workspace {} exceeded the static cap {ws_cap}",
-                report.max_workspace()
-            );
-            Ok((pairs, report))
-        }
-        TemporalPattern::Before | TemporalPattern::After => {
-            // `kind` only feeds the debug-build cap assertion below.
-            #[cfg_attr(not(any(debug_assertions, feature = "check")), allow(unused_variables))]
-            let (kind, swap) = pattern.join_op();
-            let (a, b) = if swap { (r, l) } else { (l, r) };
-            #[cfg(any(debug_assertions, feature = "check"))]
-            let ws_cap = static_ws_cap(kind, &a, &b);
-            let mut op = cfg.before_join(tdb_stream::from_vec(a), tdb_stream::from_vec(b))?;
-            let mut pairs = op.collect_vec()?;
-            #[cfg(any(debug_assertions, feature = "check"))]
-            assert!(
-                op.report().max_workspace() <= ws_cap,
-                "{kind} workspace {} exceeded the static cap {ws_cap}",
-                op.report().max_workspace()
-            );
-            if swap {
-                pairs = pairs.into_iter().map(|(x, y)| (y, x)).collect();
-            }
-            Ok((pairs, op.report()))
-        }
-    }
-}
-
-/// Push-mode [`run_stream_join`]: matched pairs go to `emit` chunk by
-/// chunk instead of one vector. Intersection-witnessed patterns stream
-/// straight out of the kernels (honoring `emit`'s stop signal);
-/// `Before`/`After` materialize internally and feed `emit` in chunks.
-/// Returns `(completed, report)`.
-fn run_stream_join_each(
-    pattern: TemporalPattern,
-    cfg: OpConfig,
-    l: Vec<PeriodRow>,
-    r: Vec<PeriodRow>,
-    stats: &mut ExecStats,
-    emit: &mut dyn FnMut(Vec<(PeriodRow, PeriodRow)>) -> TdbResult<bool>,
-) -> TdbResult<(bool, OpReport)> {
-    match pattern {
-        TemporalPattern::Contains | TemporalPattern::During => {
-            let (kind, swap) = pattern.join_op();
-            let req = kind.requirement();
-            let c_ord = req.left().unwrap_or(StreamOrder::TS_ASC);
-            let e_ord = req.right().unwrap_or(StreamOrder::TS_ASC);
-            let (c, e) = if swap { (r, l) } else { (l, r) };
-            let c = sort_wrapped(c, c_ord, stats);
-            let e = sort_wrapped(e, e_ord, stats);
-            #[cfg(any(debug_assertions, feature = "check"))]
-            let ws_cap = static_ws_cap(kind, &c, &e);
-            let (completed, report) = if swap {
-                run_join_kind_each(kind, cfg, c, c_ord, e, e_ord, &mut |chunk| {
-                    emit(chunk.into_iter().map(|(a, b)| (b, a)).collect())
-                })?
-            } else {
-                run_join_kind_each(kind, cfg, c, c_ord, e, e_ord, emit)?
-            };
-            #[cfg(any(debug_assertions, feature = "check"))]
-            assert!(
-                report.max_workspace() <= ws_cap,
-                "{kind} workspace {} exceeded the static cap {ws_cap}",
-                report.max_workspace()
-            );
-            Ok((completed, report))
-        }
-        TemporalPattern::GeneralOverlap | TemporalPattern::AllenOverlaps => {
-            let mode = if pattern == TemporalPattern::GeneralOverlap {
-                OverlapMode::General
-            } else {
-                OverlapMode::Strict
-            };
-            let (kind, _) = pattern.join_op();
-            let req = kind.requirement();
-            let l_ord = req.left().unwrap_or(StreamOrder::TS_ASC);
-            let r_ord = req.right().unwrap_or(StreamOrder::TS_ASC);
-            let l = sort_wrapped(l, l_ord, stats);
-            let r = sort_wrapped(r, r_ord, stats);
-            #[cfg(any(debug_assertions, feature = "check"))]
-            let ws_cap = static_ws_cap(kind, &l, &r);
-            let (completed, report) =
-                run_join_kind_each(kind, cfg.with_mode(mode), l, l_ord, r, r_ord, emit)?;
-            #[cfg(any(debug_assertions, feature = "check"))]
-            assert!(
-                report.max_workspace() <= ws_cap,
-                "{kind} workspace {} exceeded the static cap {ws_cap}",
-                report.max_workspace()
-            );
-            Ok((completed, report))
-        }
-        TemporalPattern::Before | TemporalPattern::After => {
-            let (pairs, report) = run_stream_join(pattern, cfg, l, r, stats)?;
-            let completed = feed_chunks(pairs, cfg, emit)?;
-            Ok((completed, report))
-        }
-    }
-}
-
-/// Count-only [`run_stream_join`]: return the match count without ever
-/// widening pairs into rows. Intersection-witnessed patterns route
-/// through the kernels' count-only mode; `Before`/`After` materialize and
-/// count.
-fn run_stream_join_count(
-    pattern: TemporalPattern,
-    cfg: OpConfig,
-    l: Vec<PeriodRow>,
-    r: Vec<PeriodRow>,
-    stats: &mut ExecStats,
+    emit: &mut dyn Emit<(PeriodRow, PeriodRow)>,
 ) -> TdbResult<(usize, OpReport)> {
-    match pattern {
-        TemporalPattern::Contains
-        | TemporalPattern::During
-        | TemporalPattern::GeneralOverlap
-        | TemporalPattern::AllenOverlaps => {
-            let cfg = match pattern {
-                TemporalPattern::GeneralOverlap => cfg.with_mode(OverlapMode::General),
-                TemporalPattern::AllenOverlaps => cfg.with_mode(OverlapMode::Strict),
-                _ => cfg,
-            };
-            // The count is symmetric, but the sides still go to the
-            // operator the planner committed to (During swaps).
-            let (kind, swap) = pattern.join_op();
-            let req = kind.requirement();
-            let x_ord = req.left().unwrap_or(StreamOrder::TS_ASC);
-            let y_ord = req.right().unwrap_or(StreamOrder::TS_ASC);
-            let (x, y) = if swap { (r, l) } else { (l, r) };
-            let x = sort_wrapped(x, x_ord, stats);
-            let y = sort_wrapped(y, y_ord, stats);
-            #[cfg(any(debug_assertions, feature = "check"))]
-            let ws_cap = static_ws_cap(kind, &x, &y);
-            let (count, report) = run_join_kind_count(kind, cfg, x, x_ord, y, y_ord)?;
-            #[cfg(any(debug_assertions, feature = "check"))]
-            assert!(
-                report.max_workspace() <= ws_cap,
-                "{kind} workspace {} exceeded the static cap {ws_cap}",
-                report.max_workspace()
-            );
-            Ok((count, report))
-        }
-        TemporalPattern::Before | TemporalPattern::After => {
-            let (pairs, report) = run_stream_join(pattern, cfg, l, r, stats)?;
-            Ok((pairs.len(), report))
-        }
-    }
-}
-
-/// Feed an already-materialized result to `emit` in sink-sized chunks,
-/// honoring the stop signal. Returns `false` if the consumer stopped
-/// early.
-fn feed_chunks<T>(
-    items: Vec<T>,
-    cfg: OpConfig,
-    emit: &mut dyn FnMut(Vec<T>) -> TdbResult<bool>,
-) -> TdbResult<bool> {
-    let chunk_rows = if cfg.batch_rows > 0 {
-        cfg.batch_rows
+    // `During` and `After` run the `Contains` / `Before` operator with
+    // the sides swapped.
+    let (kind, swap) = pattern.join_op();
+    #[cfg(any(debug_assertions, feature = "check"))]
+    let ws_cap = if swap {
+        static_ws_cap(kind, &r, &l)
     } else {
-        DEFAULT_BATCH_ROWS
+        static_ws_cap(kind, &l, &r)
     };
-    let mut iter = items.into_iter();
-    loop {
-        let chunk: Vec<T> = iter.by_ref().take(chunk_rows).collect();
-        if chunk.is_empty() {
-            return Ok(true);
+    let (partitions, report) = match parallel_pattern(pattern) {
+        // The partitioned driver takes (left, right) and normalizes
+        // `During` itself.
+        Some(ppat) if fan_out > 1 => {
+            note_parallel_sorts(ppat, true, &l, &r, stats);
+            (
+                fan_out,
+                parallel_join_each(ppat, l, r, fan_out, cfg, emit)?.report,
+            )
         }
-        if !emit(chunk)? {
-            return Ok(false);
+        ppat => {
+            let (x, y) = if swap { (r, l) } else { (l, r) };
+            let mut unswap = Unswap(emit);
+            let emit: &mut dyn Emit<_> = if swap { &mut unswap } else { &mut *unswap.0 };
+            let report = match ppat {
+                Some(ppat) => {
+                    let (x_ord, y_ord) = required_orders(kind);
+                    let x = sort_wrapped(x, x_ord, stats);
+                    let y = sort_wrapped(y, y_ord, stats);
+                    let cfg = ppat.worker_config(cfg);
+                    run_join_kind_each(kind, cfg, x, x_ord, y, y_ord, emit)?.1
+                }
+                // Before/After: no sort order bounds the Before-join's
+                // state, so it runs over the inputs as they come.
+                None => {
+                    let mut op = cfg.before_join(from_vec(x), from_vec(y))?;
+                    pull_each(&mut op, emit)?;
+                    op.report()
+                }
+            };
+            (1, report)
         }
-    }
+    };
+    #[cfg(any(debug_assertions, feature = "check"))]
+    assert!(
+        report.max_workspace() <= ws_cap,
+        "{kind} ×{partitions} workspace {} exceeded the static cap {ws_cap}",
+        report.max_workspace()
+    );
+    Ok((partitions, report))
 }
 
-type SemiResult = (Vec<PeriodRow>, OpReport);
-
-fn run_stream_semijoin(
+/// Run the §4 stream semijoin for `pattern` (left rows kept) over wrapped
+/// inputs, pushing the kept rows into `emit`: time-partitioned over `fan_out`
+/// ranges when `fan_out > 1` and the pattern partitions, serially otherwise.
+/// Returns the partition fan-out used and the operator's report.
+fn stream_semijoin(
     pattern: TemporalPattern,
+    fan_out: usize,
     cfg: OpConfig,
     l: Vec<PeriodRow>,
     r: Vec<PeriodRow>,
     stats: &mut ExecStats,
-) -> TdbResult<SemiResult> {
-    match pattern {
-        TemporalPattern::During => {
-            // Left rows contained in some right row: the Figure 6 stab
-            // algorithm; the registry says left sorted TE ↑, right TS ↑.
-            let (kind, _) = pattern.semijoin_op();
-            let req = kind.requirement();
-            let l_ord = req.left().unwrap_or(StreamOrder::TE_ASC);
-            let r_ord = req.right().unwrap_or(StreamOrder::TS_ASC);
+    emit: &mut dyn Emit<PeriodRow>,
+) -> TdbResult<(usize, OpReport)> {
+    let (kind, _) = pattern.semijoin_op();
+    #[cfg(any(debug_assertions, feature = "check"))]
+    let ws_cap = static_ws_cap(kind, &l, &r);
+    let (partitions, report) = match parallel_pattern(pattern) {
+        Some(ppat) if fan_out > 1 => {
+            note_parallel_sorts(ppat, false, &l, &r, stats);
+            (
+                fan_out,
+                parallel_semijoin_each(ppat, l, r, fan_out, cfg, emit)?.report,
+            )
+        }
+        Some(ppat) => {
+            let (l_ord, r_ord) = required_orders(kind);
             let l = sort_wrapped(l, l_ord, stats);
             let r = sort_wrapped(r, r_ord, stats);
-            #[cfg(any(debug_assertions, feature = "check"))]
-            let ws_cap = static_ws_cap(kind, &l, &r);
-            let (kept, report) = run_semijoin_kind(kind, cfg, l, l_ord, r, r_ord)?;
-            #[cfg(any(debug_assertions, feature = "check"))]
-            assert!(
-                report.max_workspace() <= ws_cap,
-                "{kind} workspace {} exceeded the static cap {ws_cap}",
-                report.max_workspace()
-            );
-            Ok((kept, report))
+            let cfg = ppat.worker_config(cfg);
+            (
+                1,
+                run_semijoin_kind_each(kind, cfg, l, l_ord, r, r_ord, emit)?.1,
+            )
         }
-        TemporalPattern::Contains => {
-            let (kind, _) = pattern.semijoin_op();
-            let req = kind.requirement();
-            let l_ord = req.left().unwrap_or(StreamOrder::TS_ASC);
-            let r_ord = req.right().unwrap_or(StreamOrder::TE_ASC);
-            let l = sort_wrapped(l, l_ord, stats);
-            let r = sort_wrapped(r, r_ord, stats);
-            #[cfg(any(debug_assertions, feature = "check"))]
-            let ws_cap = static_ws_cap(kind, &l, &r);
-            let (kept, report) = run_semijoin_kind(kind, cfg, l, l_ord, r, r_ord)?;
-            #[cfg(any(debug_assertions, feature = "check"))]
-            assert!(
-                report.max_workspace() <= ws_cap,
-                "{kind} workspace {} exceeded the static cap {ws_cap}",
-                report.max_workspace()
-            );
-            Ok((kept, report))
+        None if pattern == TemporalPattern::Before => {
+            let mut op = cfg.before_semijoin(from_vec(l), from_vec(r))?;
+            pull_each(&mut op, emit)?;
+            (1, op.report())
         }
-        TemporalPattern::GeneralOverlap | TemporalPattern::AllenOverlaps => {
-            let mode = if pattern == TemporalPattern::GeneralOverlap {
-                OverlapMode::General
-            } else {
-                OverlapMode::Strict
-            };
-            let (kind, _) = pattern.semijoin_op();
-            let req = kind.requirement();
-            let l_ord = req.left().unwrap_or(StreamOrder::TS_ASC);
-            let r_ord = req.right().unwrap_or(StreamOrder::TS_ASC);
-            let l = sort_wrapped(l, l_ord, stats);
-            let r = sort_wrapped(r, r_ord, stats);
-            #[cfg(any(debug_assertions, feature = "check"))]
-            let ws_cap = static_ws_cap(kind, &l, &r);
-            let (kept, report) = run_semijoin_kind(kind, cfg.with_mode(mode), l, l_ord, r, r_ord)?;
-            #[cfg(any(debug_assertions, feature = "check"))]
-            assert!(
-                report.max_workspace() <= ws_cap,
-                "{kind} workspace {} exceeded the static cap {ws_cap}",
-                report.max_workspace()
-            );
-            Ok((kept, report))
-        }
-        TemporalPattern::Before => {
-            let mut op = cfg.before_semijoin(tdb_stream::from_vec(l), tdb_stream::from_vec(r))?;
-            let kept = op.collect_vec()?;
-            Ok((kept, op.report()))
-        }
-        TemporalPattern::After => {
+        None => {
             // x after y ⇔ ∃y: y.TE < x.TS — keep x with x.TS > min(y.TE).
             let read_left = l.len();
             let read_right = r.len();
-            let min_te = r.iter().map(|p| p.te()).min();
-            let kept: Vec<PeriodRow> = match min_te {
+            let kept: Vec<PeriodRow> = match r.iter().map(|p| p.te()).min() {
                 Some(m) => l.into_iter().filter(|x| m < x.ts()).collect(),
                 None => Vec::new(),
             };
@@ -1614,55 +1128,17 @@ fn run_stream_semijoin(
                 },
                 WorkspaceStats::of_resident(1),
             );
-            Ok((kept, report))
+            pull_each(&mut from_vec(kept), emit)?;
+            (1, report)
         }
-    }
-}
-
-/// Push-mode [`run_stream_semijoin`]: kept left rows go to `emit` chunk
-/// by chunk. Intersection-witnessed patterns stream out of the kernels;
-/// `Before`/`After` materialize internally and feed `emit` in chunks.
-fn run_stream_semijoin_each(
-    pattern: TemporalPattern,
-    cfg: OpConfig,
-    l: Vec<PeriodRow>,
-    r: Vec<PeriodRow>,
-    stats: &mut ExecStats,
-    emit: &mut dyn FnMut(Vec<PeriodRow>) -> TdbResult<bool>,
-) -> TdbResult<(bool, OpReport)> {
-    match pattern {
-        TemporalPattern::During
-        | TemporalPattern::Contains
-        | TemporalPattern::GeneralOverlap
-        | TemporalPattern::AllenOverlaps => {
-            let cfg = match pattern {
-                TemporalPattern::GeneralOverlap => cfg.with_mode(OverlapMode::General),
-                TemporalPattern::AllenOverlaps => cfg.with_mode(OverlapMode::Strict),
-                _ => cfg,
-            };
-            let (kind, _) = pattern.semijoin_op();
-            let req = kind.requirement();
-            let l_ord = req.left().unwrap_or(StreamOrder::TS_ASC);
-            let r_ord = req.right().unwrap_or(StreamOrder::TS_ASC);
-            let l = sort_wrapped(l, l_ord, stats);
-            let r = sort_wrapped(r, r_ord, stats);
-            #[cfg(any(debug_assertions, feature = "check"))]
-            let ws_cap = static_ws_cap(kind, &l, &r);
-            let (completed, report) = run_semijoin_kind_each(kind, cfg, l, l_ord, r, r_ord, emit)?;
-            #[cfg(any(debug_assertions, feature = "check"))]
-            assert!(
-                report.max_workspace() <= ws_cap,
-                "{kind} workspace {} exceeded the static cap {ws_cap}",
-                report.max_workspace()
-            );
-            Ok((completed, report))
-        }
-        TemporalPattern::Before | TemporalPattern::After => {
-            let (kept, report) = run_stream_semijoin(pattern, cfg, l, r, stats)?;
-            let completed = feed_chunks(kept, cfg, emit)?;
-            Ok((completed, report))
-        }
-    }
+    };
+    #[cfg(any(debug_assertions, feature = "check"))]
+    assert!(
+        report.max_workspace() <= ws_cap,
+        "{kind} ×{partitions} workspace {} exceeded the static cap {ws_cap}",
+        report.max_workspace()
+    );
+    Ok((partitions, report))
 }
 
 #[cfg(test)]

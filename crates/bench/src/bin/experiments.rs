@@ -24,6 +24,7 @@ use tdb::algebra::cost::{
     nested_loop_cost, predict_workspace, stream_join_cost, workspace_cap, WorkspaceKind,
 };
 use tdb::prelude::*;
+use tdb::stream::parallel_join_each;
 use tdb_bench::{
     bench_catalog, measure_buffered_contain, measure_contain_ts_te, measure_contain_ts_ts,
     measure_nested_contain, row, timed, Workload,
@@ -690,21 +691,38 @@ fn parallel(json: &mut BTreeMap<String, Json>) {
     let mut rows_json = Vec::new();
     let mut serial_us = 0u128;
     let mut serial_cmp = 0usize;
+    let mut serial_pairs = 0usize;
     for k in [1usize, 2, 4, 8] {
-        let (run, us) = timed(|| {
-            parallel_join(
+        let ((run, pairs), us) = timed(|| {
+            let mut pairs = 0usize;
+            let run = parallel_join_each(
                 ParallelPattern::Contains,
                 w.xs.clone(),
                 w.ys.clone(),
                 k,
                 OpConfig::new(),
+                &mut |chunk: Vec<_>| {
+                    pairs += chunk.len();
+                    Ok(true)
+                },
             )
-            .unwrap()
+            .unwrap();
+            (run, pairs)
         });
         if k == 1 {
             serial_us = us;
             serial_cmp = run.report.metrics.comparisons;
+            serial_pairs = pairs;
         }
+        // Fringe replication and owner dedup must not change the result.
+        assert_eq!(
+            pairs, serial_pairs,
+            "K={k}: the partitioned run returned {pairs} pairs, the serial one {serial_pairs}"
+        );
+        assert_eq!(
+            run.report.metrics.emitted, pairs,
+            "K={k}: emitted miscounts"
+        );
         let critical = run
             .per_partition
             .iter()
@@ -727,10 +745,10 @@ fn parallel(json: &mut BTreeMap<String, Json>) {
              {:>9} total comparisons   {} pairs",
             us as f64 / 1000.0,
             run.report.metrics.comparisons,
-            run.items.len(),
+            pairs,
         );
         rows_json.push(jobj! {
-            "k" => k, "wall_us" => us, "pairs" => run.items.len(),
+            "k" => k, "wall_us" => us, "pairs" => pairs,
             "comparisons" => run.report.metrics.comparisons,
             "critical_path_comparisons" => critical,
             "speedup_critical_path" => speedup_cp,
@@ -753,6 +771,27 @@ fn parallel(json: &mut BTreeMap<String, Json>) {
     json.insert("parallel".into(), Json::Array(rows_json));
 }
 
+/// The E19/E21 Contain-join (X sorted `ValidFrom ↑`, Y `ValidTo ↑`)
+/// through the push dispatch, collected.
+fn collect_join(
+    cfg: OpConfig,
+    x: Vec<TsTuple>,
+    y: Vec<TsTuple>,
+) -> (Vec<(TsTuple, TsTuple)>, OpReport) {
+    let mut out = Vec::new();
+    let (_, rep) = tdb::stream::run_join_kind_each(
+        tdb::stream::StreamOpKind::ContainJoinTsTe,
+        cfg,
+        x,
+        StreamOrder::TS_ASC,
+        y,
+        StreamOrder::TE_ASC,
+        &mut out,
+    )
+    .unwrap();
+    (out, rep)
+}
+
 /// E19 — columnar batch execution vs row-at-a-time, on the E15 workload.
 ///
 /// Two sections. (1) A serial scale sweep of the Contain-join at
@@ -767,7 +806,7 @@ fn parallel(json: &mut BTreeMap<String, Json>) {
 /// (`cap_exceeded == 0`), then records the batched-over-row wall-clock
 /// speedup. Emits `results/BENCH_batch.json`.
 fn batch(json: &mut BTreeMap<String, Json>) {
-    use tdb::stream::{run_join_kind, StreamOpKind};
+    use tdb::stream::StreamOpKind;
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -789,17 +828,8 @@ fn batch(json: &mut BTreeMap<String, Json>) {
         StreamOrder::TS_ASC.sort(&mut x);
         let mut y = w.ys.clone();
         StreamOrder::TE_ASC.sort(&mut y);
-        let run_path = |rows: usize| {
-            run_join_kind(
-                StreamOpKind::ContainJoinTsTe,
-                OpConfig::new().with_batch_rows(rows),
-                x.clone(),
-                StreamOrder::TS_ASC,
-                y.clone(),
-                StreamOrder::TE_ASC,
-            )
-            .unwrap()
-        };
+        let run_path =
+            |rows: usize| collect_join(OpConfig::new().with_batch_rows(rows), x.clone(), y.clone());
 
         // Correctness pass (untimed): outputs compared, then dropped.
         let (pairs, peak, comparisons) = {
@@ -865,38 +895,41 @@ fn batch(json: &mut BTreeMap<String, Json>) {
     let mut rows_json = Vec::new();
     for k in [1usize, 8] {
         let run_path = |rows: usize| {
-            parallel_join(
+            let mut items = Vec::new();
+            let run = parallel_join_each(
                 ParallelPattern::Contains,
                 w.xs.clone(),
                 w.ys.clone(),
                 k,
                 OpConfig::new().with_batch_rows(rows),
+                &mut items,
             )
-            .unwrap()
+            .unwrap();
+            (items, run.report)
         };
 
         // Correctness pass (untimed): outputs compared, then dropped so
         // the timing pass below starts from a clean heap.
         let (pairs, peak, comparisons) = {
-            let row_run = run_path(0);
-            let batch_run = run_path(tdb::stream::DEFAULT_BATCH_ROWS);
+            let (row_items, row_rep) = run_path(0);
+            let (batch_items, batch_rep) = run_path(tdb::stream::DEFAULT_BATCH_ROWS);
             assert_eq!(
-                batch_run.items, row_run.items,
+                batch_items, row_items,
                 "K={k}: batched and row outputs diverged"
             );
             assert_eq!(
-                batch_run.report.metrics, row_run.report.metrics,
+                batch_rep.metrics, row_rep.metrics,
                 "K={k}: batched and row counters diverged"
             );
             assert_eq!(
-                batch_run.report.max_workspace(),
-                row_run.report.max_workspace(),
+                batch_rep.max_workspace(),
+                row_rep.max_workspace(),
                 "K={k}: workspace peak must be batch-size-invariant"
             );
             (
-                batch_run.items.len(),
-                batch_run.report.max_workspace(),
-                batch_run.report.metrics.comparisons,
+                batch_items.len(),
+                batch_rep.max_workspace(),
+                batch_rep.metrics.comparisons,
             )
         };
         if peak > static_cap {
@@ -956,22 +989,22 @@ fn batch(json: &mut BTreeMap<String, Json>) {
 /// E21 — streaming result sinks vs output materialization, on the E19
 /// 40k/side Contain-join point.
 ///
-/// Three consumers of the identical batched kernel run: (a) the
-/// materializing dispatch, which buffers every output pair; (b) the
-/// push dispatch (`run_join_kind_each`), whose consumer processes each
-/// chunk and drops it — bounded residency, no result-sized allocation;
-/// (c) the count-only dispatch (`run_join_kind_count`), where the probe
-/// pass sums hits without cloning a payload. Correctness first: the
-/// chunk concatenation equals the materialized output, the count equals
-/// its length, all three reports agree on comparisons and workspace
-/// peak, and the peak stays under the analyzer's static cap
+/// Three consumers of the identical batched kernel run, all through the
+/// push dispatch (`run_join_kind_each`): (a) a collecting consumer, which
+/// buffers every output pair; (b) a streaming consumer, which processes
+/// each chunk and drops it — bounded residency, no result-sized
+/// allocation; (c) a counting consumer that declines items, so the
+/// kernel runs count-only and its probe pass sums hits without cloning a
+/// payload. Correctness first: the streamed and counted totals equal
+/// the collected output's length, all three reports agree on comparisons
+/// and workspace peak, and the peak stays under the analyzer's static cap
 /// (`cap_exceeded == 0` — the sink never re-buffers what the kernel
 /// streamed). An early-termination probe then confirms a limit-style
 /// consumer stops the producer after one chunk. Timing is best-of-3
 /// per path; the headline is the count-path speedup over
 /// materialization. Emits `results/BENCH_sink.json`.
 fn sink(json: &mut BTreeMap<String, Json>) {
-    use tdb::stream::{run_join_kind, run_join_kind_count, run_join_kind_each, StreamOpKind};
+    use tdb::stream::{run_join_kind_each, StreamOpKind};
     const N_SIDE: usize = 40_000;
     println!(
         "E21 · streaming result sinks vs output materialization (Contain-join, {N_SIDE}/side)"
@@ -986,17 +1019,7 @@ fn sink(json: &mut BTreeMap<String, Json>) {
     StreamOrder::TE_ASC.sort(&mut y);
     let cfg = || OpConfig::new().with_batch_rows(tdb::stream::DEFAULT_BATCH_ROWS);
 
-    let materialize = || {
-        run_join_kind(
-            StreamOpKind::ContainJoinTsTe,
-            cfg(),
-            x.clone(),
-            StreamOrder::TS_ASC,
-            y.clone(),
-            StreamOrder::TE_ASC,
-        )
-        .unwrap()
-    };
+    let materialize = || collect_join(cfg(), x.clone(), y.clone());
     // The streaming consumer: tally each chunk, then drop it.
     let stream_path = || {
         let mut rows = 0usize;
@@ -1008,7 +1031,7 @@ fn sink(json: &mut BTreeMap<String, Json>) {
             StreamOrder::TS_ASC,
             y.clone(),
             StreamOrder::TE_ASC,
-            &mut |chunk| {
+            &mut |chunk: Vec<_>| {
                 rows += chunk.len();
                 chunks += 1;
                 Ok(true)
@@ -1019,15 +1042,18 @@ fn sink(json: &mut BTreeMap<String, Json>) {
         (rows, chunks, rep)
     };
     let count_path = || {
-        run_join_kind_count(
+        let mut counted = tdb::stream::Counter::default();
+        let (_, rep) = run_join_kind_each(
             StreamOpKind::ContainJoinTsTe,
             cfg(),
             x.clone(),
             StreamOrder::TS_ASC,
             y.clone(),
             StreamOrder::TE_ASC,
+            &mut counted,
         )
-        .unwrap()
+        .unwrap();
+        (counted.0, rep)
     };
 
     // Correctness pass (untimed): all three consumers see the same run.
@@ -1038,21 +1064,6 @@ fn sink(json: &mut BTreeMap<String, Json>) {
         let (counted, count_rep) = count_path();
         assert_eq!(each_rows, mat_out.len(), "streamed row total diverged");
         assert_eq!(counted, mat_out.len(), "count-only total diverged");
-        let mut streamed = Vec::with_capacity(mat_out.len());
-        run_join_kind_each(
-            StreamOpKind::ContainJoinTsTe,
-            cfg(),
-            x.clone(),
-            StreamOrder::TS_ASC,
-            y.clone(),
-            StreamOrder::TE_ASC,
-            &mut |mut chunk| {
-                streamed.append(&mut chunk);
-                Ok(true)
-            },
-        )
-        .unwrap();
-        assert_eq!(streamed, mat_out, "streamed chunks reorder the output");
         assert_eq!(
             each_rep.metrics, mat_rep.metrics,
             "push-path counters diverged"
@@ -1087,7 +1098,7 @@ fn sink(json: &mut BTreeMap<String, Json>) {
             StreamOrder::TS_ASC,
             y.clone(),
             StreamOrder::TE_ASC,
-            &mut |chunk| {
+            &mut |chunk: Vec<_>| {
                 offered += chunk.len();
                 Ok(false)
             },

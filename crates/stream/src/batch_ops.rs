@@ -29,6 +29,7 @@ use crate::metrics::OpMetrics;
 use crate::overlap_join::OverlapMode;
 use crate::read_policy::{Advance, PolicyState, ReadPolicy};
 use crate::report::OpReport;
+use crate::sink::Emit;
 use crate::workspace::WorkspaceStats;
 use std::collections::VecDeque;
 use tdb_core::{TdbResult, Temporal, TimePoint};
@@ -95,23 +96,21 @@ where
     R: BatchStream<Item = K::RightItem>,
 {
     let mut out = Vec::new();
-    drive_each(op, left, right, &mut |chunk| {
-        out.extend(chunk);
-        Ok(true)
-    })?;
+    drive_each(op, left, right, &mut out)?;
     Ok(out)
 }
 
 /// Run a [`BatchOp`] like [`drive`], but hand each drained output chunk to
-/// `emit` instead of accumulating one result vector. `emit` returning
-/// `false` stops the run early (the sink has seen enough); the function
-/// then returns `false` too, so callers can distinguish a completed run
-/// from a truncated one.
+/// `emit` ([`Emit::offer`]: a counting consumer gets its length) instead
+/// of accumulating one result vector. `emit` returning `false` stops the
+/// run early (the sink has seen enough); the function then returns
+/// `false` too, so callers can distinguish a completed run from a
+/// truncated one.
 pub fn drive_each<K, L, R>(
     op: &mut K,
     left: &mut L,
     right: &mut R,
-    emit: &mut dyn FnMut(Vec<K::Out>) -> TdbResult<bool>,
+    emit: &mut dyn Emit<K::Out>,
 ) -> TdbResult<bool>
 where
     K: BatchOp,
@@ -120,7 +119,7 @@ where
 {
     loop {
         let chunk = op.drain();
-        if !chunk.is_empty() && !emit(chunk)? {
+        if !chunk.is_empty() && !emit.offer(chunk)? {
             return Ok(false);
         }
         match op.wants() {
@@ -136,7 +135,7 @@ where
         }
     }
     let chunk = op.drain();
-    if !chunk.is_empty() && !emit(chunk)? {
+    if !chunk.is_empty() && !emit.offer(chunk)? {
         return Ok(false);
     }
     Ok(true)

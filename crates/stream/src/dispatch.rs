@@ -1,16 +1,19 @@
-//! Unified row-vs-batched execution entry points.
+//! The push dispatch: one entry point per operator family.
 //!
 //! Every call site that runs a stream temporal operator over materialized,
 //! sortable inputs — the query executor, the partitioned-parallel workers,
-//! and the experiment harness — used to hand-assemble the same
-//! `from_sorted_vec` + [`OpConfig`] constructor + `collect_vec` sequence.
-//! [`run_join_kind`] / [`run_semijoin_kind`] centralize that sequence and
-//! add the execution-path decision: when [`OpConfig::batched`] holds
-//! (`batch_rows > 0`) the vectorized kernels of [`crate::batch_ops`] run
-//! over [`VecBatchStream`] columnar batches; otherwise the row-at-a-time
-//! pull operators run. Both paths return the same `(output, OpReport)`
-//! pair, and by the equivalence pinned in `tests/batch_equivalence.rs` the
-//! outputs and reports are identical — only wall-clock differs.
+//! and the experiment harness — goes through [`run_join_kind_each`] or
+//! [`run_semijoin_kind_each`]. They centralize the `from_sorted_vec` +
+//! [`OpConfig`] constructor sequence and the execution-path decision: when
+//! [`OpConfig::batched`] holds (`batch_rows > 0`) the vectorized kernels of
+//! [`crate::batch_ops`] run over [`VecBatchStream`] columnar batches;
+//! otherwise the row-at-a-time pull operators run. Output goes to an
+//! [`Emit`] consumer chunk by chunk: a closure that keeps every chunk
+//! materializes the result, one that returns `false` stops the producer,
+//! and one that declines items ([`Emit::wants_items`]) receives counts —
+//! the join kernels then run count-only. By the equivalence pinned in
+//! `tests/batch_equivalence.rs` both paths emit the same sequence and the
+//! same [`OpReport`] — only wall-clock differs.
 //!
 //! Inputs must already be sorted into the orders the operator's registry
 //! entry requires ([`StreamOpKind::requirement`]); both paths re-verify the
@@ -18,187 +21,62 @@
 
 use crate::batch::{VecBatchStream, DEFAULT_BATCH_ROWS};
 use crate::batch_ops::{
-    drive, drive_each, BatchContainJoinTsTe, BatchContainSemijoinStab, BatchContainedSemijoinStab,
+    drive_each, BatchContainJoinTsTe, BatchContainSemijoinStab, BatchContainedSemijoinStab,
     BatchOp, BatchOverlapJoin, BatchOverlapSemijoin,
 };
 use crate::report::{Instrumented, OpConfig, OpReport};
 use crate::required::StreamOpKind;
+use crate::sink::Emit;
 use crate::stream::{from_sorted_vec, TupleStream};
 use tdb_core::{StreamOrder, TdbError, TdbResult, Temporal};
 
 /// Pull a row operator to completion, handing its output to `emit` in
 /// chunks of [`DEFAULT_BATCH_ROWS`] — the row-path twin of
 /// [`drive_each`]. Returns `false` if `emit` stopped the run early.
-fn pull_each<S>(
-    op: &mut S,
-    emit: &mut dyn FnMut(Vec<S::Item>) -> TdbResult<bool>,
-) -> TdbResult<bool>
+pub fn pull_each<S>(op: &mut S, emit: &mut dyn Emit<S::Item>) -> TdbResult<bool>
 where
     S: TupleStream,
 {
     let mut chunk = Vec::new();
     while let Some(item) = op.next()? {
         chunk.push(item);
-        if chunk.len() >= DEFAULT_BATCH_ROWS && !emit(std::mem::take(&mut chunk))? {
+        if chunk.len() >= DEFAULT_BATCH_ROWS && !emit.offer(std::mem::take(&mut chunk))? {
             return Ok(false);
         }
     }
-    if !chunk.is_empty() && !emit(chunk)? {
+    if !chunk.is_empty() && !emit.offer(chunk)? {
         return Ok(false);
     }
     Ok(true)
 }
 
+/// Drive a batched kernel over two columnar streams into `emit`.
+fn drive_batched<K: BatchOp>(
+    mut op: K,
+    mut left: VecBatchStream<K::LeftItem>,
+    mut right: VecBatchStream<K::RightItem>,
+    emit: &mut dyn Emit<K::Out>,
+) -> TdbResult<(bool, OpReport)> {
+    let completed = drive_each(&mut op, &mut left, &mut right, emit)?;
+    Ok((completed, op.report()))
+}
+
 /// Run a stream temporal **join** of `kind` over pre-sorted inputs,
-/// selecting the row or batched path per `cfg.batch_rows`.
+/// selecting the row or batched path per `cfg.batch_rows`, and hand each
+/// output chunk to `emit` as the operator drains. The returned flag is
+/// `false` when `emit` stopped the run early; the [`OpReport`] then covers
+/// only the work done up to that point.
+///
+/// When `emit` declines items, the batched kernels run in count-only mode
+/// — the probe pass sums hits over the endpoint columns and never clones a
+/// payload — and `emit` receives one [`Emit::push_count`]. Metrics in the
+/// report are identical to the item-producing run's.
 ///
 /// Supported kinds: [`StreamOpKind::ContainJoinTsTe`] and
 /// [`StreamOpKind::OverlapJoin`] (mode from [`OpConfig::mode`]) — the
 /// kinds the planner emits for materialized two-sided joins. Side swaps
 /// (e.g. `During` running the `Contains` operator) are the caller's
-/// concern, as before.
-pub fn run_join_kind<X, Y>(
-    kind: StreamOpKind,
-    cfg: OpConfig,
-    x: Vec<X>,
-    x_order: StreamOrder,
-    y: Vec<Y>,
-    y_order: StreamOrder,
-) -> TdbResult<(Vec<(X, Y)>, OpReport)>
-where
-    X: Temporal + Clone,
-    Y: Temporal + Clone,
-{
-    match kind {
-        StreamOpKind::ContainJoinTsTe => {
-            if cfg.batched() {
-                let mut op = BatchContainJoinTsTe::new();
-                let out = drive(
-                    &mut op,
-                    &mut VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-                    &mut VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-                )?;
-                Ok((out, op.report()))
-            } else {
-                let mut op = cfg.contain_join_ts_te(
-                    from_sorted_vec(x, x_order)?,
-                    from_sorted_vec(y, y_order)?,
-                )?;
-                let out = op.collect_vec()?;
-                Ok((out, op.report()))
-            }
-        }
-        StreamOpKind::OverlapJoin => {
-            if cfg.batched() {
-                let mut op = BatchOverlapJoin::new(cfg.mode, cfg.policy);
-                let out = drive(
-                    &mut op,
-                    &mut VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-                    &mut VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-                )?;
-                Ok((out, op.report()))
-            } else {
-                let mut op =
-                    cfg.overlap_join(from_sorted_vec(x, x_order)?, from_sorted_vec(y, y_order)?)?;
-                let out = op.collect_vec()?;
-                Ok((out, op.report()))
-            }
-        }
-        other => Err(TdbError::Plan(format!(
-            "no materialized join dispatch for {other}"
-        ))),
-    }
-}
-
-/// Run a stream temporal **semijoin** of `kind` (left rows kept) over
-/// pre-sorted inputs, selecting the row or batched path per
-/// `cfg.batch_rows`.
-///
-/// Supported kinds: [`StreamOpKind::ContainSemijoinStab`],
-/// [`StreamOpKind::ContainedSemijoinStab`] (X sorted `ValidTo ↑`, Y — the
-/// containers — sorted `ValidFrom ↑`, exactly the row operator's input
-/// convention), and [`StreamOpKind::OverlapSemijoin`] (mode from
-/// [`OpConfig::mode`]).
-pub fn run_semijoin_kind<X, Y>(
-    kind: StreamOpKind,
-    cfg: OpConfig,
-    x: Vec<X>,
-    x_order: StreamOrder,
-    y: Vec<Y>,
-    y_order: StreamOrder,
-) -> TdbResult<(Vec<X>, OpReport)>
-where
-    X: Temporal + Clone,
-    Y: Temporal + Clone,
-{
-    match kind {
-        StreamOpKind::ContainSemijoinStab => {
-            if cfg.batched() {
-                let mut op = BatchContainSemijoinStab::new();
-                let out = drive(
-                    &mut op,
-                    &mut VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-                    &mut VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-                )?;
-                Ok((out, op.report()))
-            } else {
-                let mut op = cfg.contain_semijoin_stab(
-                    from_sorted_vec(x, x_order)?,
-                    from_sorted_vec(y, y_order)?,
-                )?;
-                let out = op.collect_vec()?;
-                Ok((out, op.report()))
-            }
-        }
-        StreamOpKind::ContainedSemijoinStab => {
-            if cfg.batched() {
-                // The batched kernel's left input is the container (Y)
-                // side, mirroring the row operator's read_left accounting.
-                let mut op = BatchContainedSemijoinStab::new();
-                let out = drive(
-                    &mut op,
-                    &mut VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-                    &mut VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-                )?;
-                Ok((out, op.report()))
-            } else {
-                let mut op = cfg.contained_semijoin_stab(
-                    from_sorted_vec(x, x_order)?,
-                    from_sorted_vec(y, y_order)?,
-                )?;
-                let out = op.collect_vec()?;
-                Ok((out, op.report()))
-            }
-        }
-        StreamOpKind::OverlapSemijoin => {
-            if cfg.batched() {
-                let mut op = BatchOverlapSemijoin::new(cfg.mode, cfg.policy);
-                let out = drive(
-                    &mut op,
-                    &mut VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-                    &mut VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-                )?;
-                Ok((out, op.report()))
-            } else {
-                let mut op = cfg
-                    .overlap_semijoin(from_sorted_vec(x, x_order)?, from_sorted_vec(y, y_order)?)?;
-                let out = op.collect_vec()?;
-                Ok((out, op.report()))
-            }
-        }
-        other => Err(TdbError::Plan(format!(
-            "no materialized semijoin dispatch for {other}"
-        ))),
-    }
-}
-
-/// Sink-mode twin of [`run_join_kind`]: hand each output chunk to `emit`
-/// as the operator drains instead of materializing one pair vector. The
-/// returned flag is `false` when `emit` stopped the run early; the
-/// [`OpReport`] then covers only the work done up to that point.
-///
-/// Covers the same kinds as [`run_join_kind`]; `tdb-lint` cross-checks
-/// that the two dispatch tables never drift apart.
+/// concern.
 pub fn run_join_kind_each<X, Y>(
     kind: StreamOpKind,
     cfg: OpConfig,
@@ -206,124 +84,61 @@ pub fn run_join_kind_each<X, Y>(
     x_order: StreamOrder,
     y: Vec<Y>,
     y_order: StreamOrder,
-    emit: &mut dyn FnMut(Vec<(X, Y)>) -> TdbResult<bool>,
+    emit: &mut dyn Emit<(X, Y)>,
 ) -> TdbResult<(bool, OpReport)>
 where
     X: Temporal + Clone,
     Y: Temporal + Clone,
 {
-    match kind {
+    let count_only = !emit.wants_items();
+    let (completed, report) = match kind {
+        StreamOpKind::ContainJoinTsTe if cfg.batched() => {
+            let op = BatchContainJoinTsTe::new();
+            drive_batched(
+                if count_only { op.count_only() } else { op },
+                VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
+                VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
+                emit,
+            )?
+        }
         StreamOpKind::ContainJoinTsTe => {
-            if cfg.batched() {
-                let mut op = BatchContainJoinTsTe::new();
-                let completed = drive_each(
-                    &mut op,
-                    &mut VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-                    &mut VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-                    emit,
-                )?;
-                Ok((completed, op.report()))
-            } else {
-                let mut op = cfg.contain_join_ts_te(
-                    from_sorted_vec(x, x_order)?,
-                    from_sorted_vec(y, y_order)?,
-                )?;
-                let completed = pull_each(&mut op, emit)?;
-                Ok((completed, op.report()))
-            }
+            let mut op =
+                cfg.contain_join_ts_te(from_sorted_vec(x, x_order)?, from_sorted_vec(y, y_order)?)?;
+            return Ok((pull_each(&mut op, emit)?, op.report()));
+        }
+        StreamOpKind::OverlapJoin if cfg.batched() => {
+            let op = BatchOverlapJoin::new(cfg.mode, cfg.policy);
+            drive_batched(
+                if count_only { op.count_only() } else { op },
+                VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
+                VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
+                emit,
+            )?
         }
         StreamOpKind::OverlapJoin => {
-            if cfg.batched() {
-                let mut op = BatchOverlapJoin::new(cfg.mode, cfg.policy);
-                let completed = drive_each(
-                    &mut op,
-                    &mut VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-                    &mut VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-                    emit,
-                )?;
-                Ok((completed, op.report()))
-            } else {
-                let mut op =
-                    cfg.overlap_join(from_sorted_vec(x, x_order)?, from_sorted_vec(y, y_order)?)?;
-                let completed = pull_each(&mut op, emit)?;
-                Ok((completed, op.report()))
-            }
+            let mut op =
+                cfg.overlap_join(from_sorted_vec(x, x_order)?, from_sorted_vec(y, y_order)?)?;
+            return Ok((pull_each(&mut op, emit)?, op.report()));
         }
-        other => Err(TdbError::Plan(format!("no sink join dispatch for {other}"))),
+        other => return Err(TdbError::Plan(format!("no join dispatch for {other}"))),
+    };
+    if count_only {
+        return Ok((emit.push_count(report.metrics.emitted)?, report));
     }
+    Ok((completed, report))
 }
 
-/// Count-only twin of [`run_join_kind`]: return the number of matching
-/// pairs without materializing any. On the batched path the kernels run
-/// in count-only mode — the probe pass sums hits over the endpoint
-/// columns and never clones a payload — which is where count-dominated
-/// consumers (aggregation, `count(*)`, [`crate::sink::CountSink`]) regain
-/// the output-materialization cost. Metrics in the report are identical
-/// to the materializing run's.
-pub fn run_join_kind_count<X, Y>(
-    kind: StreamOpKind,
-    cfg: OpConfig,
-    x: Vec<X>,
-    x_order: StreamOrder,
-    y: Vec<Y>,
-    y_order: StreamOrder,
-) -> TdbResult<(usize, OpReport)>
-where
-    X: Temporal + Clone,
-    Y: Temporal + Clone,
-{
-    match kind {
-        StreamOpKind::ContainJoinTsTe => {
-            if cfg.batched() {
-                let mut op = BatchContainJoinTsTe::new().count_only();
-                drive(
-                    &mut op,
-                    &mut VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-                    &mut VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-                )?;
-                let report = op.report();
-                Ok((report.metrics.emitted, report))
-            } else {
-                let mut op = cfg.contain_join_ts_te(
-                    from_sorted_vec(x, x_order)?,
-                    from_sorted_vec(y, y_order)?,
-                )?;
-                let mut n = 0usize;
-                while op.next()?.is_some() {
-                    n += 1;
-                }
-                Ok((n, op.report()))
-            }
-        }
-        StreamOpKind::OverlapJoin => {
-            if cfg.batched() {
-                let mut op = BatchOverlapJoin::new(cfg.mode, cfg.policy).count_only();
-                drive(
-                    &mut op,
-                    &mut VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-                    &mut VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-                )?;
-                let report = op.report();
-                Ok((report.metrics.emitted, report))
-            } else {
-                let mut op =
-                    cfg.overlap_join(from_sorted_vec(x, x_order)?, from_sorted_vec(y, y_order)?)?;
-                let mut n = 0usize;
-                while op.next()?.is_some() {
-                    n += 1;
-                }
-                Ok((n, op.report()))
-            }
-        }
-        other => Err(TdbError::Plan(format!(
-            "no count-only join dispatch for {other}"
-        ))),
-    }
-}
-
-/// Sink-mode twin of [`run_semijoin_kind`]: hand kept left rows to `emit`
-/// in chunks as the operator drains. Same kind coverage as the
-/// materializing dispatch; the flag is `false` on early termination.
+/// Run a stream temporal **semijoin** of `kind` (left rows kept) over
+/// pre-sorted inputs, selecting the row or batched path per
+/// `cfg.batch_rows`, and hand kept left rows to `emit` in chunks as the
+/// operator drains (counts, if `emit` declines items). The flag is
+/// `false` on early termination.
+///
+/// Supported kinds: [`StreamOpKind::ContainSemijoinStab`],
+/// [`StreamOpKind::ContainedSemijoinStab`] (X sorted `ValidTo ↑`, Y — the
+/// containers — sorted `ValidFrom ↑`, exactly the row operator's input
+/// convention), and [`StreamOpKind::OverlapSemijoin`] (mode from
+/// [`OpConfig::mode`]).
 pub fn run_semijoin_kind_each<X, Y>(
     kind: StreamOpKind,
     cfg: OpConfig,
@@ -331,73 +146,53 @@ pub fn run_semijoin_kind_each<X, Y>(
     x_order: StreamOrder,
     y: Vec<Y>,
     y_order: StreamOrder,
-    emit: &mut dyn FnMut(Vec<X>) -> TdbResult<bool>,
+    emit: &mut dyn Emit<X>,
 ) -> TdbResult<(bool, OpReport)>
 where
     X: Temporal + Clone,
     Y: Temporal + Clone,
 {
     match kind {
+        StreamOpKind::ContainSemijoinStab if cfg.batched() => drive_batched(
+            BatchContainSemijoinStab::new(),
+            VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
+            VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
+            emit,
+        ),
         StreamOpKind::ContainSemijoinStab => {
-            if cfg.batched() {
-                let mut op = BatchContainSemijoinStab::new();
-                let completed = drive_each(
-                    &mut op,
-                    &mut VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-                    &mut VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-                    emit,
-                )?;
-                Ok((completed, op.report()))
-            } else {
-                let mut op = cfg.contain_semijoin_stab(
-                    from_sorted_vec(x, x_order)?,
-                    from_sorted_vec(y, y_order)?,
-                )?;
-                let completed = pull_each(&mut op, emit)?;
-                Ok((completed, op.report()))
-            }
+            let mut op = cfg.contain_semijoin_stab(
+                from_sorted_vec(x, x_order)?,
+                from_sorted_vec(y, y_order)?,
+            )?;
+            Ok((pull_each(&mut op, emit)?, op.report()))
         }
+        // The batched kernel's left input is the container (Y) side,
+        // mirroring the row operator's read_left accounting.
+        StreamOpKind::ContainedSemijoinStab if cfg.batched() => drive_batched(
+            BatchContainedSemijoinStab::new(),
+            VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
+            VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
+            emit,
+        ),
         StreamOpKind::ContainedSemijoinStab => {
-            if cfg.batched() {
-                // Same side convention as the materialized path: the
-                // batched kernel's left input is the container (Y) side.
-                let mut op = BatchContainedSemijoinStab::new();
-                let completed = drive_each(
-                    &mut op,
-                    &mut VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-                    &mut VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-                    emit,
-                )?;
-                Ok((completed, op.report()))
-            } else {
-                let mut op = cfg.contained_semijoin_stab(
-                    from_sorted_vec(x, x_order)?,
-                    from_sorted_vec(y, y_order)?,
-                )?;
-                let completed = pull_each(&mut op, emit)?;
-                Ok((completed, op.report()))
-            }
+            let mut op = cfg.contained_semijoin_stab(
+                from_sorted_vec(x, x_order)?,
+                from_sorted_vec(y, y_order)?,
+            )?;
+            Ok((pull_each(&mut op, emit)?, op.report()))
         }
+        StreamOpKind::OverlapSemijoin if cfg.batched() => drive_batched(
+            BatchOverlapSemijoin::new(cfg.mode, cfg.policy),
+            VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
+            VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
+            emit,
+        ),
         StreamOpKind::OverlapSemijoin => {
-            if cfg.batched() {
-                let mut op = BatchOverlapSemijoin::new(cfg.mode, cfg.policy);
-                let completed = drive_each(
-                    &mut op,
-                    &mut VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-                    &mut VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-                    emit,
-                )?;
-                Ok((completed, op.report()))
-            } else {
-                let mut op = cfg
-                    .overlap_semijoin(from_sorted_vec(x, x_order)?, from_sorted_vec(y, y_order)?)?;
-                let completed = pull_each(&mut op, emit)?;
-                Ok((completed, op.report()))
-            }
+            let mut op =
+                cfg.overlap_semijoin(from_sorted_vec(x, x_order)?, from_sorted_vec(y, y_order)?)?;
+            Ok((pull_each(&mut op, emit)?, op.report()))
         }
-        other => Err(TdbError::Plan(format!(
-            "no sink semijoin dispatch for {other}"
-        ))),
+        other => Err(TdbError::Plan(format!("no semijoin dispatch for {other}"))),
     }
 }
 
@@ -405,6 +200,7 @@ where
 mod tests {
     use super::*;
     use crate::overlap_join::OverlapMode;
+    use crate::sink::Counter;
     use tdb_core::TsTuple;
 
     fn iv(s: i64, e: i64) -> TsTuple {
@@ -426,114 +222,61 @@ mod tests {
         v
     }
 
+    type Pairs = Vec<(TsTuple, TsTuple)>;
+
+    fn contain_join(cfg: OpConfig, xs: &[TsTuple], ys: &[TsTuple]) -> (Pairs, OpReport) {
+        let mut out = Vec::new();
+        let (completed, report) = run_join_kind_each(
+            StreamOpKind::ContainJoinTsTe,
+            cfg,
+            xs.to_vec(),
+            StreamOrder::TS_ASC,
+            ys.to_vec(),
+            StreamOrder::TE_ASC,
+            &mut out,
+        )
+        .unwrap();
+        assert!(completed);
+        (out, report)
+    }
+
     #[test]
     fn join_dispatch_paths_agree() {
         let (xs, ys) = workload(80);
         let xs = sorted(xs, StreamOrder::TS_ASC);
         let ys = sorted(ys, StreamOrder::TE_ASC);
-        let row = run_join_kind(
-            StreamOpKind::ContainJoinTsTe,
-            OpConfig::new().with_batch_rows(0),
-            xs.clone(),
-            StreamOrder::TS_ASC,
-            ys.clone(),
-            StreamOrder::TE_ASC,
-        )
-        .unwrap();
+        let row = contain_join(OpConfig::new().with_batch_rows(0), &xs, &ys);
         for rows in [1usize, 64, 1024] {
-            let batched = run_join_kind(
-                StreamOpKind::ContainJoinTsTe,
-                OpConfig::new().with_batch_rows(rows),
-                xs.clone(),
-                StreamOrder::TS_ASC,
-                ys.clone(),
-                StreamOrder::TE_ASC,
-            )
-            .unwrap();
+            let batched = contain_join(OpConfig::new().with_batch_rows(rows), &xs, &ys);
             assert_eq!(batched, row, "rows {rows}");
         }
     }
 
-    #[test]
-    fn semijoin_dispatch_paths_agree() {
-        let (xs, ys) = workload(70);
-        for (kind, xo, yo, mode) in [
-            (
-                StreamOpKind::ContainSemijoinStab,
-                StreamOrder::TS_ASC,
-                StreamOrder::TE_ASC,
-                OverlapMode::General,
-            ),
-            (
-                StreamOpKind::ContainedSemijoinStab,
-                StreamOrder::TE_ASC,
-                StreamOrder::TS_ASC,
-                OverlapMode::General,
-            ),
-            (
-                StreamOpKind::OverlapSemijoin,
-                StreamOrder::TS_ASC,
-                StreamOrder::TS_ASC,
-                OverlapMode::Strict,
-            ),
-        ] {
-            let x = sorted(xs.clone(), xo);
-            let y = sorted(ys.clone(), yo);
-            let cfg = OpConfig::new().with_mode(mode);
-            let row = run_semijoin_kind(kind, cfg.with_batch_rows(0), x.clone(), xo, y.clone(), yo)
-                .unwrap();
-            let batched = run_semijoin_kind(kind, cfg.with_batch_rows(128), x, xo, y, yo).unwrap();
-            assert_eq!(batched, row, "{kind}");
-        }
-    }
-
+    /// Count-only consumers agree with the collected run, and a consumer
+    /// that declines further chunks stops the producer mid-run.
     #[test]
     fn sink_dispatch_matches_materialized_and_stops_early() {
         let (xs, ys) = workload(80);
         let xs = sorted(xs, StreamOrder::TS_ASC);
         let ys = sorted(ys, StreamOrder::TE_ASC);
-        let (pairs, report) = run_join_kind(
-            StreamOpKind::ContainJoinTsTe,
-            OpConfig::new(),
-            xs.clone(),
-            StreamOrder::TS_ASC,
-            ys.clone(),
-            StreamOrder::TE_ASC,
-        )
-        .unwrap();
+        let (pairs, report) = contain_join(OpConfig::new(), &xs, &ys);
         for rows in [0usize, 64, 1024] {
             let cfg = OpConfig::new().with_batch_rows(rows);
-            let mut streamed = Vec::new();
-            let (completed, sreport) = run_join_kind_each(
+            let mut counter = Counter(0);
+            let (completed, creport) = run_join_kind_each(
                 StreamOpKind::ContainJoinTsTe,
                 cfg,
                 xs.clone(),
                 StreamOrder::TS_ASC,
                 ys.clone(),
                 StreamOrder::TE_ASC,
-                &mut |chunk| {
-                    streamed.extend(chunk);
-                    Ok(true)
-                },
+                &mut counter,
             )
             .unwrap();
             assert!(completed);
-            assert_eq!(streamed, pairs, "rows {rows}");
-            assert_eq!(sreport, report, "rows {rows}");
-            // Count-only agrees with the materialized emit count.
-            let (n, creport) = run_join_kind_count(
-                StreamOpKind::ContainJoinTsTe,
-                cfg,
-                xs.clone(),
-                StreamOrder::TS_ASC,
-                ys.clone(),
-                StreamOrder::TE_ASC,
-            )
-            .unwrap();
-            assert_eq!(n, pairs.len(), "rows {rows}");
+            assert_eq!(counter.0, pairs.len(), "rows {rows}");
             assert_eq!(creport.metrics, report.metrics, "rows {rows}");
             assert_eq!(creport.max_workspace(), report.max_workspace());
-            // Early termination stops the producer mid-run.
             let mut seen = 0usize;
             let (completed, _) = run_join_kind_each(
                 StreamOpKind::ContainJoinTsTe,
@@ -542,7 +285,7 @@ mod tests {
                 StreamOrder::TS_ASC,
                 ys.clone(),
                 StreamOrder::TE_ASC,
-                &mut |chunk| {
+                &mut |chunk: Pairs| {
                     seen += chunk.len();
                     Ok(false)
                 },
@@ -557,10 +300,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sink_semijoin_dispatch_matches_materialized() {
-        let (xs, ys) = workload(70);
-        for (kind, xo, yo, mode) in [
+    fn semijoin_cases() -> [(StreamOpKind, StreamOrder, StreamOrder, OverlapMode); 3] {
+        [
             (
                 StreamOpKind::ContainSemijoinStab,
                 StreamOrder::TS_ASC,
@@ -579,46 +320,79 @@ mod tests {
                 StreamOrder::TS_ASC,
                 OverlapMode::Strict,
             ),
-        ] {
+        ]
+    }
+
+    fn semijoin(
+        kind: StreamOpKind,
+        cfg: OpConfig,
+        x: &[TsTuple],
+        xo: StreamOrder,
+        y: &[TsTuple],
+        yo: StreamOrder,
+    ) -> (Vec<TsTuple>, OpReport) {
+        let mut kept = Vec::new();
+        let (completed, report) =
+            run_semijoin_kind_each(kind, cfg, x.to_vec(), xo, y.to_vec(), yo, &mut kept).unwrap();
+        assert!(completed);
+        (kept, report)
+    }
+
+    #[test]
+    fn semijoin_dispatch_paths_agree() {
+        let (xs, ys) = workload(70);
+        for (kind, xo, yo, mode) in semijoin_cases() {
+            let x = sorted(xs.clone(), xo);
+            let y = sorted(ys.clone(), yo);
+            let cfg = OpConfig::new().with_mode(mode);
+            let row = semijoin(kind, cfg.with_batch_rows(0), &x, xo, &y, yo);
+            let batched = semijoin(kind, cfg.with_batch_rows(128), &x, xo, &y, yo);
+            assert_eq!(batched, row, "{kind}");
+        }
+    }
+
+    /// A counting consumer sees the collected run's cardinality and report.
+    #[test]
+    fn sink_semijoin_dispatch_matches_materialized() {
+        let (xs, ys) = workload(70);
+        for (kind, xo, yo, mode) in semijoin_cases() {
             let x = sorted(xs.clone(), xo);
             let y = sorted(ys.clone(), yo);
             for rows in [0usize, 128] {
                 let cfg = OpConfig::new().with_mode(mode).with_batch_rows(rows);
-                let (kept, report) =
-                    run_semijoin_kind(kind, cfg, x.clone(), xo, y.clone(), yo).unwrap();
-                let mut streamed = Vec::new();
-                let (completed, sreport) =
-                    run_semijoin_kind_each(kind, cfg, x.clone(), xo, y.clone(), yo, &mut |chunk| {
-                        streamed.extend(chunk);
-                        Ok(true)
-                    })
-                    .unwrap();
+                let (kept, report) = semijoin(kind, cfg, &x, xo, &y, yo);
+                let mut counter = Counter(0);
+                let (completed, creport) =
+                    run_semijoin_kind_each(kind, cfg, x.clone(), xo, y.clone(), yo, &mut counter)
+                        .unwrap();
                 assert!(completed);
-                assert_eq!(streamed, kept, "{kind} rows {rows}");
-                assert_eq!(sreport, report, "{kind} rows {rows}");
+                assert_eq!(counter.0, kept.len(), "{kind} rows {rows}");
+                assert_eq!(creport, report, "{kind} rows {rows}");
             }
         }
     }
 
     #[test]
     fn unsupported_kinds_are_planning_errors() {
-        let err = run_join_kind::<TsTuple, TsTuple>(
+        let err = run_join_kind_each::<TsTuple, TsTuple>(
             StreamOpKind::BeforeJoin,
             OpConfig::new(),
             vec![],
             StreamOrder::TS_ASC,
             vec![],
             StreamOrder::TS_ASC,
+            &mut |_: Pairs| Ok(true),
         )
         .unwrap_err();
         assert!(matches!(err, TdbError::Plan(_)));
-        let err = run_semijoin_kind::<TsTuple, TsTuple>(
+        let err = run_semijoin_kind_each::<TsTuple, TsTuple>(
             StreamOpKind::BeforeSemijoin,
             OpConfig::new(),
             vec![],
             StreamOrder::TS_ASC,
             vec![],
             StreamOrder::TS_ASC,
+            &mut |_: Vec<TsTuple>| Ok(true),
         )
         .unwrap_err();
         assert!(matches!(err, TdbError::Plan(_)));

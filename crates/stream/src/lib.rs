@@ -68,10 +68,7 @@ pub use before::{BeforeJoin, BeforeSemijoin};
 pub use buffered_join::BufferedJoin;
 pub use coalesce::{coalesce_relation, Coalesce};
 pub use contain_join::{ContainJoinTsTe, ContainJoinTsTs};
-pub use dispatch::{
-    run_join_kind, run_join_kind_count, run_join_kind_each, run_semijoin_kind,
-    run_semijoin_kind_each,
-};
+pub use dispatch::{pull_each, run_join_kind_each, run_semijoin_kind_each};
 pub use event_join::EventMergeJoin;
 pub use gapless::GaplessWorkspace;
 pub use merge_join::MergeEquiJoin;
@@ -79,16 +76,15 @@ pub use metrics::OpMetrics;
 pub use nested_loop::NestedLoopJoin;
 pub use overlap_join::{OverlapJoin, OverlapMode, OverlapSemijoin};
 pub use partition::{
-    merge_tagged, merge_tagged_each, parallel_join, parallel_join_each, parallel_semijoin,
-    parallel_semijoin_each, partition_with_fringe, KWayMerge, ParallelPattern, ParallelPush,
-    ParallelRun, PartitionSpec, Tagged,
+    merge_tagged_each, parallel_join_each, parallel_semijoin_each, partition_with_fringe,
+    KWayMerge, ParallelPattern, ParallelPush, PartitionSpec, Tagged,
 };
 pub use progress::{Progress, ProgressSnapshot};
 pub use read_policy::ReadPolicy;
 pub use report::{timeslice, Instrumented, OpConfig, OpReport};
 pub use required::{check_stream_order, OrderRequirement, RequiredOrder, StreamOpKind};
 pub use self_semijoin::{ContainSelfSemijoin, ContainSelfSemijoinDesc, ContainedSelfSemijoin};
-pub use sink::{row_bytes, CollectSink, CountSink, LimitSink, RowSink, SinkStats};
+pub use sink::{row_bytes, CollectSink, CountSink, Counter, Emit, LimitSink, RowSink, SinkStats};
 pub use stab_semijoin::{ContainSemijoinStab, ContainedSemijoinStab};
 pub use stream::{from_sorted_vec, from_vec, OrderChecked, TupleStream, VecStream};
 pub use sweep_semijoin::SweepSemijoin;

@@ -18,7 +18,7 @@
 //! * **semijoins** — the left input is tagged with its ordinal in the
 //!   sorted input ([`Tagged`]); partitions report witnessed ordinals, and
 //!   the K sorted result lists are recombined by an order-preserving K-way
-//!   merge with boundary dedup ([`merge_tagged`]), re-emitting the
+//!   merge with boundary dedup ([`merge_tagged_each`]), re-emitting the
 //!   operator's declared output order.
 //!
 //! How much work does replication add? By Little's law (paper §6), the
@@ -34,10 +34,11 @@
 //! serial.
 
 use crate::batch::DEFAULT_BATCH_ROWS;
-use crate::dispatch::{run_join_kind, run_semijoin_kind};
+use crate::dispatch::{run_join_kind_each, run_semijoin_kind_each};
 use crate::overlap_join::OverlapMode;
 use crate::report::{OpConfig, OpReport};
 use crate::required::StreamOpKind;
+use crate::sink::Emit;
 use crate::stream::TupleStream;
 use tdb_core::{Period, StreamOrder, TdbError, TdbResult, Temporal, TimePoint};
 
@@ -150,25 +151,15 @@ pub fn tag<T>(items: Vec<T>) -> Vec<Tagged<T>> {
 /// several partitions (fringe tuples) are emitted once. Because ordinals
 /// are positions in the sorted input and semijoin outputs are subsequences
 /// of their input, the merged output re-emits the declared input order.
-pub fn merge_tagged<T: Clone>(parts: Vec<Vec<Tagged<T>>>) -> Vec<T> {
-    let mut out = Vec::new();
-    let all = merge_tagged_each(parts, usize::MAX, &mut |mut chunk| {
-        out.append(&mut chunk);
-        Ok(true)
-    });
-    debug_assert!(matches!(all, Ok((true, _))));
-    out
-}
-
-/// Push-mode variant of [`merge_tagged`]: the merged, deduplicated output
-/// is handed to `emit` in chunks of at most `chunk_rows` rows instead of
-/// being collected. Returns `(completed, emitted)` — `completed` is
+///
+/// The output goes to `emit` ([`Emit::offer`]) in chunks of at most
+/// `chunk_rows` rows. Returns `(completed, emitted)` — `completed` is
 /// `false` when `emit` asked the merge to stop early, `emitted` counts the
 /// rows actually handed over.
 pub fn merge_tagged_each<T: Clone>(
     mut parts: Vec<Vec<Tagged<T>>>,
     chunk_rows: usize,
-    emit: &mut dyn FnMut(Vec<T>) -> TdbResult<bool>,
+    emit: &mut dyn Emit<T>,
 ) -> TdbResult<(bool, usize)> {
     let chunk_rows = chunk_rows.max(1);
     // The strict overlap semijoin can reorder around its pending queue, so
@@ -196,7 +187,7 @@ pub fn merge_tagged_each<T: Clone>(
         let Some((ordinal, i)) = best else {
             if !chunk.is_empty() {
                 emitted += chunk.len();
-                if !emit(chunk)? {
+                if !emit.offer(chunk)? {
                     return Ok((false, emitted));
                 }
             }
@@ -207,7 +198,7 @@ pub fn merge_tagged_each<T: Clone>(
         last = Some(ordinal);
         if chunk.len() >= chunk_rows {
             emitted += chunk.len();
-            if !emit(std::mem::take(&mut chunk))? {
+            if !emit.offer(std::mem::take(&mut chunk))? {
                 return Ok((false, emitted));
             }
         }
@@ -376,41 +367,16 @@ impl ParallelPattern {
     }
 }
 
-/// The result of a partitioned-parallel operator run.
-#[derive(Debug, Clone)]
-pub struct ParallelRun<T> {
-    /// Deduplicated output (joins: pairs in owner-partition order;
-    /// semijoins: kept tuples in the sorted input order).
-    pub items: Vec<T>,
-    /// Aggregate report: reads/comparisons/emits summed across workers,
-    /// workspace peak is the max over workers.
-    pub report: OpReport,
-    /// Per-worker reports, indexed by partition.
-    pub per_partition: Vec<OpReport>,
-    /// Total tuples dispatched to workers; the excess over `|X| + |Y|` is
-    /// the fringe-replication overhead.
-    pub dispatched: usize,
-}
-
-impl<T> ParallelRun<T> {
-    fn empty(k: usize) -> ParallelRun<T> {
-        ParallelRun {
-            items: Vec::new(),
-            report: OpReport::default(),
-            per_partition: vec![OpReport::default(); k.max(1)],
-            dispatched: 0,
-        }
-    }
-}
-
-/// Outcome of a push-mode parallel run ([`parallel_join_each`] /
+/// Outcome of a partitioned-parallel run ([`parallel_join_each`] /
 /// [`parallel_semijoin_each`]): the output went to the caller's emit
-/// closure, so only the run's accounting is returned.
+/// consumer, so only the run's accounting is returned.
 #[derive(Debug, Clone)]
 pub struct ParallelPush {
-    /// `false` when the emit closure stopped the run early (sink full).
+    /// `false` when the emit consumer stopped the run early (sink full).
     pub completed: bool,
-    /// Aggregate report (see [`ParallelRun::report`]).
+    /// Aggregate report: reads and comparisons summed across workers,
+    /// workspace peak the max over workers, and `emitted` the
+    /// deduplicated output actually handed to the consumer.
     pub report: OpReport,
     /// Per-worker reports, indexed by partition.
     pub per_partition: Vec<OpReport>,
@@ -430,12 +396,40 @@ impl ParallelPush {
     }
 }
 
-/// A drained worker's output: emitted items plus the operator's report.
+/// A drained worker's output: kept items plus the operator's report.
 type WorkerOutput<T> = TdbResult<(Vec<T>, OpReport)>;
 
-fn join_results<T>(
-    results: Vec<WorkerOutput<T>>,
-) -> TdbResult<(Vec<Vec<T>>, Vec<OpReport>, OpReport)> {
+/// The K workers' outputs, per-worker reports and their aggregate.
+type Partitioned<T> = (Vec<Vec<T>>, Vec<OpReport>, OpReport);
+
+/// Run `work(i, xs_i, ys_i)` for every partition `i` on its own thread,
+/// then fold the workers' reports: counters summed, workspace peak maxed.
+fn run_workers<X, Y, T>(
+    xparts: Vec<Vec<X>>,
+    yparts: Vec<Vec<Y>>,
+    work: impl Fn(usize, Vec<X>, Vec<Y>) -> WorkerOutput<T> + Sync,
+) -> TdbResult<Partitioned<T>>
+where
+    X: Send,
+    Y: Send,
+    T: Send,
+{
+    let work = &work;
+    let results: Vec<WorkerOutput<T>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = xparts
+            .into_iter()
+            .zip(yparts)
+            .enumerate()
+            .map(|(i, (xp, yp))| scope.spawn(move || work(i, xp, yp)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|_| Err(TdbError::Eval("parallel worker panicked".into())))
+            })
+            .collect()
+    });
     let mut items = Vec::with_capacity(results.len());
     let mut reports = Vec::with_capacity(results.len());
     let mut total = OpReport::default();
@@ -448,56 +442,23 @@ fn join_results<T>(
     Ok((items, reports, total))
 }
 
-/// Run a temporal join partitioned over `k` time ranges.
+/// Run a temporal join partitioned over `k` time ranges, handing each
+/// partition's owner-deduplicated pairs (in partition order) to `emit`.
+/// A `false` return from `emit` stops the run; remaining partitions'
+/// outputs are dropped.
 ///
 /// Inputs need not be pre-sorted; each is sorted once into the order its
 /// serial operator requires, partitioned with fringe replication, and the
-/// per-partition outputs are owner-deduplicated. The result is exactly the
-/// serial operator's (and the nested-loop oracle's) match set.
-pub fn parallel_join<T>(
-    pattern: ParallelPattern,
-    xs: Vec<T>,
-    ys: Vec<T>,
-    k: usize,
-    cfg: OpConfig,
-) -> TdbResult<ParallelRun<(T, T)>>
-where
-    T: Temporal + Clone + Send,
-{
-    if pattern == ParallelPattern::During {
-        // y contains x: reuse the Contains machinery with sides swapped.
-        let run = parallel_join(ParallelPattern::Contains, ys, xs, k, cfg)?;
-        return Ok(ParallelRun {
-            items: run.items.into_iter().map(|(y, x)| (x, y)).collect(),
-            report: run.report,
-            per_partition: run.per_partition,
-            dispatched: run.dispatched,
-        });
-    }
-    let Some((parts, per_partition, report, dispatched)) =
-        join_partitioned(pattern, xs, ys, k, cfg)?
-    else {
-        return Ok(ParallelRun::empty(k));
-    };
-    Ok(ParallelRun {
-        items: parts.into_iter().flatten().collect(),
-        report,
-        per_partition,
-        dispatched,
-    })
-}
-
-/// Push-mode [`parallel_join`]: instead of concatenating the K
-/// owner-deduplicated partition outputs into one vector, hand each
-/// partition's pairs (in partition order) to `emit`. A `false` return from
-/// `emit` stops the run; remaining partitions' outputs are dropped.
+/// per-partition outputs are owner-deduplicated. The pairs delivered are
+/// exactly the serial operator's (and the nested-loop oracle's) match
+/// set, and the report's `emitted` counts them.
 pub fn parallel_join_each<T>(
     pattern: ParallelPattern,
     xs: Vec<T>,
     ys: Vec<T>,
     k: usize,
     cfg: OpConfig,
-    emit: &mut dyn FnMut(Vec<(T, T)>) -> TdbResult<bool>,
+    emit: &mut dyn Emit<(T, T)>,
 ) -> TdbResult<ParallelPush>
 where
     T: Temporal + Clone + Send,
@@ -510,52 +471,8 @@ where
     } else {
         (pattern, xs, ys)
     };
-    let Some((parts, per_partition, report, dispatched)) =
-        join_partitioned(pattern, xs, ys, k, cfg)?
-    else {
-        return Ok(ParallelPush::empty(k));
-    };
-    let mut completed = true;
-    for part in parts {
-        if part.is_empty() {
-            continue;
-        }
-        let part = if swap {
-            part.into_iter().map(|(y, x)| (x, y)).collect()
-        } else {
-            part
-        };
-        if !emit(part)? {
-            completed = false;
-            break;
-        }
-    }
-    Ok(ParallelPush {
-        completed,
-        report,
-        per_partition,
-        dispatched,
-    })
-}
-
-/// The shared worker phase of the parallel joins: sort, fringe-partition,
-/// run K serial workers, owner-dedup. Returns the per-partition outputs
-/// (not yet concatenated) or `None` for empty inputs. `pattern` must not
-/// be `During` — callers normalize via side swap.
-#[allow(clippy::type_complexity)]
-fn join_partitioned<T>(
-    pattern: ParallelPattern,
-    xs: Vec<T>,
-    ys: Vec<T>,
-    k: usize,
-    cfg: OpConfig,
-) -> TdbResult<Option<(Vec<Vec<(T, T)>>, Vec<OpReport>, OpReport, usize)>>
-where
-    T: Temporal + Clone + Send,
-{
-    debug_assert!(pattern != ParallelPattern::During);
     let Some(spec) = PartitionSpec::covering(&xs, &ys, k) else {
-        return Ok(None);
+        return Ok(ParallelPush::empty(k));
     };
     let (x_order, y_order) = pattern.worker_orders(true);
     let mut xs = xs;
@@ -568,104 +485,50 @@ where
     let dispatched: usize = xparts.iter().chain(yparts.iter()).map(Vec::len).sum();
 
     let spec = &spec;
-    let results: Vec<WorkerOutput<(T, T)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = xparts
-            .into_iter()
-            .zip(yparts)
-            .enumerate()
-            .map(|(i, (xp, yp))| {
-                scope.spawn(move || -> WorkerOutput<(T, T)> {
-                    // Each worker runs the serial operator through the
-                    // unified dispatch — row or batched per `cfg`.
-                    let (pairs, report) = run_join_kind(
-                        pattern.join_kind(),
-                        pattern.worker_config(cfg),
-                        xp,
-                        x_order,
-                        yp,
-                        y_order,
-                    )?;
-                    // Owner dedup: emit a pair only from the partition that
-                    // owns the intersection start.
-                    let owned = pairs
+    let (parts, per_partition, mut report) = run_workers(xparts, yparts, |i, xp, yp| {
+        // Each worker runs the serial operator through the push dispatch
+        // — row or batched per `cfg` — keeping only the pairs its
+        // partition owns: those whose intersection starts inside its
+        // range.
+        let mut owned = Vec::new();
+        let (_, report) = run_join_kind_each(
+            pattern.join_kind(),
+            pattern.worker_config(cfg),
+            xp,
+            x_order,
+            yp,
+            y_order,
+            &mut |chunk: Vec<(T, T)>| {
+                owned.extend(
+                    chunk
                         .into_iter()
-                        .filter(|(x, y)| spec.owner_of(x.ts().max_of(y.ts())) == i)
-                        .collect();
-                    Ok((owned, report))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| Err(TdbError::Eval("parallel join worker panicked".into())))
-            })
-            .collect()
-    });
-    let (items, per_partition, report) = join_results(results)?;
-    Ok(Some((items, per_partition, report, dispatched)))
-}
-
-/// Run a temporal semijoin (left side kept) partitioned over `k` time
-/// ranges. Output preserves the left input's sorted order and contains each
-/// kept tuple exactly once.
-pub fn parallel_semijoin<T>(
-    pattern: ParallelPattern,
-    xs: Vec<T>,
-    ys: Vec<T>,
-    k: usize,
-    cfg: OpConfig,
-) -> TdbResult<ParallelRun<T>>
-where
-    T: Temporal + Clone + Send,
-{
-    let Some((parts, per_partition, mut report, dispatched)) =
-        semijoin_partitioned(pattern, xs, ys, k, cfg)?
-    else {
-        return Ok(ParallelRun::empty(k));
-    };
-    let items = merge_tagged(parts);
-    // Fringe tuples witnessed in several partitions were emitted more than
-    // once by the workers; after dedup, report what actually came out.
-    report.metrics.emitted = items.len();
-    Ok(ParallelRun {
-        items,
-        report,
-        per_partition,
-        dispatched,
-    })
-}
-
-/// Push-mode [`parallel_semijoin`]: the K-way ordinal merge streams its
-/// deduplicated output to `emit` in chunks of the configured batch size
-/// instead of building one vector. A `false` return from `emit` stops the
-/// merge.
-pub fn parallel_semijoin_each<T>(
-    pattern: ParallelPattern,
-    xs: Vec<T>,
-    ys: Vec<T>,
-    k: usize,
-    cfg: OpConfig,
-    emit: &mut dyn FnMut(Vec<T>) -> TdbResult<bool>,
-) -> TdbResult<ParallelPush>
-where
-    T: Temporal + Clone + Send,
-{
-    let Some((parts, per_partition, mut report, dispatched)) =
-        semijoin_partitioned(pattern, xs, ys, k, cfg)?
-    else {
-        return Ok(ParallelPush::empty(k));
-    };
-    let chunk_rows = if cfg.batch_rows > 0 {
-        cfg.batch_rows
-    } else {
-        DEFAULT_BATCH_ROWS
-    };
-    let (completed, emitted) = merge_tagged_each(parts, chunk_rows, emit)?;
-    // On an early stop `emitted` is what actually reached the sink — a
-    // lower bound on the full result.
-    report.metrics.emitted = emitted;
+                        .filter(|(x, y)| spec.owner_of(x.ts().max_of(y.ts())) == i),
+                );
+                Ok(true)
+            },
+        )?;
+        Ok((owned, report))
+    })?;
+    let mut completed = true;
+    let mut delivered = 0usize;
+    for part in parts {
+        if part.is_empty() {
+            continue;
+        }
+        let part = if swap && emit.wants_items() {
+            part.into_iter().map(|(y, x)| (x, y)).collect()
+        } else {
+            part
+        };
+        delivered += part.len();
+        if !emit.offer(part)? {
+            completed = false;
+            break;
+        }
+    }
+    // The workers counted fringe pairs before owner dedup; report what
+    // actually reached the consumer.
+    report.metrics.emitted = delivered;
     Ok(ParallelPush {
         completed,
         report,
@@ -674,22 +537,24 @@ where
     })
 }
 
-/// The shared worker phase of the parallel semijoins: sort, tag the kept
-/// side, fringe-partition, run K serial workers. Returns the per-partition
-/// tagged outputs (not yet merged) or `None` for empty inputs.
-#[allow(clippy::type_complexity)]
-fn semijoin_partitioned<T>(
+/// Run a temporal semijoin (left side kept) partitioned over `k` time
+/// ranges. The K-way ordinal merge streams its deduplicated output to
+/// `emit` in chunks of the configured batch size: the left input's sorted
+/// order, each kept tuple exactly once. A `false` return from `emit`
+/// stops the merge.
+pub fn parallel_semijoin_each<T>(
     pattern: ParallelPattern,
     xs: Vec<T>,
     ys: Vec<T>,
     k: usize,
     cfg: OpConfig,
-) -> TdbResult<Option<(Vec<Vec<Tagged<T>>>, Vec<OpReport>, OpReport, usize)>>
+    emit: &mut dyn Emit<T>,
+) -> TdbResult<ParallelPush>
 where
     T: Temporal + Clone + Send,
 {
     let Some(spec) = PartitionSpec::covering(&xs, &ys, k) else {
-        return Ok(None);
+        return Ok(ParallelPush::empty(k));
     };
     let (x_order, y_order) = pattern.worker_orders(false);
     let mut xs = xs;
@@ -702,39 +567,41 @@ where
     let dispatched: usize =
         xparts.iter().map(Vec::len).sum::<usize>() + yparts.iter().map(Vec::len).sum::<usize>();
 
-    let results: Vec<WorkerOutput<Tagged<T>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = xparts
-            .into_iter()
-            .zip(yparts)
-            .map(|(xp, yp)| {
-                scope.spawn(move || -> WorkerOutput<Tagged<T>> {
-                    run_semijoin_kind(
-                        pattern.semijoin_kind(),
-                        pattern.worker_config(cfg),
-                        xp,
-                        x_order,
-                        yp,
-                        y_order,
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|_| {
-                    Err(TdbError::Eval("parallel semijoin worker panicked".into()))
-                })
-            })
-            .collect()
-    });
-    let (parts, per_partition, report) = join_results(results)?;
-    Ok(Some((parts, per_partition, report, dispatched)))
+    let (parts, per_partition, mut report) = run_workers(xparts, yparts, |_, xp, yp| {
+        let mut kept = Vec::new();
+        let (_, report) = run_semijoin_kind_each(
+            pattern.semijoin_kind(),
+            pattern.worker_config(cfg),
+            xp,
+            x_order,
+            yp,
+            y_order,
+            &mut kept,
+        )?;
+        Ok((kept, report))
+    })?;
+    let chunk_rows = if cfg.batch_rows > 0 {
+        cfg.batch_rows
+    } else {
+        DEFAULT_BATCH_ROWS
+    };
+    let (completed, emitted) = merge_tagged_each(parts, chunk_rows, emit)?;
+    // Fringe tuples witnessed in several partitions were kept by more than
+    // one worker; report what actually reached the consumer (on an early
+    // stop, a lower bound on the full result).
+    report.metrics.emitted = emitted;
+    Ok(ParallelPush {
+        completed,
+        report,
+        per_partition,
+        dispatched,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::Counter;
     use crate::stream::from_sorted_vec;
     use std::collections::BTreeSet;
     use tdb_core::TsTuple;
@@ -826,18 +693,54 @@ mod tests {
         assert!(KWayMerge::new(vec![c], StreamOrder::TS_ASC).is_err());
     }
 
+    type Pairs = Vec<(TsTuple, TsTuple)>;
+
+    /// A parallel join run to completion, with its delivered pairs.
+    fn join_run(
+        pattern: ParallelPattern,
+        xs: &[TsTuple],
+        ys: &[TsTuple],
+        k: usize,
+    ) -> (Pairs, ParallelPush) {
+        let mut out = Vec::new();
+        let (xs, ys) = (xs.to_vec(), ys.to_vec());
+        let push = parallel_join_each(pattern, xs, ys, k, OpConfig::new(), &mut out).unwrap();
+        assert!(push.completed);
+        (out, push)
+    }
+
+    /// A parallel semijoin run to completion, with its kept tuples.
+    fn semi_run(
+        pattern: ParallelPattern,
+        xs: &[TsTuple],
+        ys: &[TsTuple],
+        k: usize,
+    ) -> (Vec<TsTuple>, ParallelPush) {
+        let mut out = Vec::new();
+        let (xs, ys) = (xs.to_vec(), ys.to_vec());
+        let push = parallel_semijoin_each(pattern, xs, ys, k, OpConfig::new(), &mut out).unwrap();
+        assert!(push.completed);
+        (out, push)
+    }
+
     #[test]
     fn merge_tagged_dedups_fringe_duplicates() {
         let t = |ordinal, s, e| Tagged {
             ordinal,
             item: iv(s, e),
         };
-        let merged = merge_tagged(vec![
-            vec![t(0, 0, 9), t(2, 3, 4)],
-            vec![t(0, 0, 9), t(5, 8, 9)],
-        ]);
+        let mut merged = Vec::new();
+        let (completed, emitted) = merge_tagged_each(
+            vec![vec![t(0, 0, 9), t(2, 3, 4)], vec![t(0, 0, 9), t(5, 8, 9)]],
+            2,
+            &mut merged,
+        )
+        .unwrap();
+        assert!(completed);
+        assert_eq!(emitted, 3);
         assert_eq!(merged, vec![iv(0, 9), iv(3, 4), iv(8, 9)]);
-        assert!(merge_tagged::<TsTuple>(vec![vec![], vec![]]).is_empty());
+        let empty = merge_tagged_each::<TsTuple>(vec![vec![], vec![]], 2, &mut Counter(0));
+        assert_eq!(empty.unwrap(), (true, 0));
     }
 
     #[test]
@@ -847,16 +750,9 @@ mod tests {
         let xs = vec![iv(0, 100), iv(10, 30), iv(60, 90)];
         let ys = vec![iv(5, 6), iv(24, 26), iv(25, 75), iv(70, 80), iv(99, 100)];
         for k in 1..=8 {
-            let run = parallel_join(
-                ParallelPattern::Contains,
-                xs.clone(),
-                ys.clone(),
-                k,
-                OpConfig::new(),
-            )
-            .unwrap();
+            let (pairs, run) = join_run(ParallelPattern::Contains, &xs, &ys, k);
             assert_eq!(
-                canon_pairs(run.items),
+                canon_pairs(pairs),
                 join_oracle(&xs, &ys, ParallelPattern::Contains),
                 "k={k}"
             );
@@ -868,16 +764,9 @@ mod tests {
     fn parallel_run_aggregates_reports() {
         let xs: Vec<_> = (0..50).map(|i| iv(i * 2, i * 2 + 5)).collect();
         let ys: Vec<_> = (0..50).map(|i| iv(i * 2 + 1, i * 2 + 2)).collect();
-        let run = parallel_join(
-            ParallelPattern::Contains,
-            xs.clone(),
-            ys.clone(),
-            4,
-            OpConfig::new(),
-        )
-        .unwrap();
-        let serial = parallel_join(ParallelPattern::Contains, xs, ys, 1, OpConfig::new()).unwrap();
-        assert_eq!(canon_pairs(run.items), canon_pairs(serial.items));
+        let (pairs, run) = join_run(ParallelPattern::Contains, &xs, &ys, 4);
+        let (serial_pairs, serial) = join_run(ParallelPattern::Contains, &xs, &ys, 1);
+        assert_eq!(canon_pairs(pairs), canon_pairs(serial_pairs));
         // Fringe replication dispatches at least the raw inputs.
         assert!(run.dispatched >= 100, "dispatched {}", run.dispatched);
         // Partitioned workspaces are no larger than the serial peak.
@@ -901,19 +790,18 @@ mod tests {
             ParallelPattern::AllenOverlaps,
         ] {
             for k in 1..=6 {
-                let run =
-                    parallel_semijoin(pattern, xs.clone(), ys.clone(), k, OpConfig::new()).unwrap();
+                let (kept, run) = semi_run(pattern, &xs, &ys, k);
                 assert_eq!(
-                    canon(run.items.clone()),
+                    canon(kept.clone()),
                     semi_oracle(&xs, &ys, pattern),
                     "{pattern:?} k={k}"
                 );
                 // Exactly-once: no fringe duplicates survive the merge.
                 let mut seen = BTreeSet::new();
-                for t in &run.items {
+                for t in &kept {
                     assert!(seen.insert((t.ts().ticks(), t.te().ticks(), t.value.clone())));
                 }
-                assert_eq!(run.report.metrics.emitted, run.items.len());
+                assert_eq!(run.report.metrics.emitted, kept.len());
             }
         }
     }
@@ -929,48 +817,34 @@ mod tests {
             ParallelPattern::AllenOverlaps,
         ] {
             for k in [1usize, 4] {
-                let run =
-                    parallel_join(pattern, xs.clone(), ys.clone(), k, OpConfig::new()).unwrap();
-                let mut pushed = Vec::new();
+                let (pairs, run) = join_run(pattern, &xs, &ys, k);
+                assert_eq!(run.report.metrics.emitted, pairs.len(), "{pattern:?} k={k}");
+                let mut counter = Counter(0);
                 let push = parallel_join_each(
                     pattern,
                     xs.clone(),
                     ys.clone(),
                     k,
                     OpConfig::new(),
-                    &mut |chunk| {
-                        pushed.extend(chunk);
-                        Ok(true)
-                    },
+                    &mut counter,
                 )
                 .unwrap();
-                assert!(push.completed);
-                assert_eq!(
-                    canon_pairs(pushed),
-                    canon_pairs(run.items),
-                    "{pattern:?} k={k}"
-                );
-                assert_eq!(push.dispatched, run.dispatched);
-                assert_eq!(push.per_partition.len(), run.per_partition.len());
+                assert_eq!(counter.0, pairs.len(), "{pattern:?} k={k}");
+                assert_eq!(push.report.metrics, run.report.metrics);
 
-                let run =
-                    parallel_semijoin(pattern, xs.clone(), ys.clone(), k, OpConfig::new()).unwrap();
-                let mut pushed = Vec::new();
+                let (kept, run) = semi_run(pattern, &xs, &ys, k);
+                let mut counter = Counter(0);
                 let push = parallel_semijoin_each(
                     pattern,
                     xs.clone(),
                     ys.clone(),
                     k,
                     OpConfig::new(),
-                    &mut |chunk| {
-                        pushed.extend(chunk);
-                        Ok(true)
-                    },
+                    &mut counter,
                 )
                 .unwrap();
-                assert!(push.completed);
-                assert_eq!(pushed, run.items, "{pattern:?} k={k}");
-                assert_eq!(push.report.metrics.emitted, run.report.metrics.emitted);
+                assert_eq!(counter.0, kept.len(), "{pattern:?} k={k}");
+                assert_eq!(push.report.metrics, run.report.metrics);
             }
         }
     }
@@ -979,14 +853,7 @@ mod tests {
     fn push_mode_parallel_join_stops_early() {
         let xs: Vec<_> = (0..200).map(|i| iv(i, i + 10)).collect();
         let ys: Vec<_> = (0..200).map(|i| iv(i + 1, i + 2)).collect();
-        let full = parallel_join(
-            ParallelPattern::Contains,
-            xs.clone(),
-            ys.clone(),
-            4,
-            OpConfig::new(),
-        )
-        .unwrap();
+        let (full, _) = join_run(ParallelPattern::Contains, &xs, &ys, 4);
         let mut seen = 0usize;
         let push = parallel_join_each(
             ParallelPattern::Contains,
@@ -994,36 +861,23 @@ mod tests {
             ys,
             4,
             OpConfig::new(),
-            &mut |chunk| {
+            &mut |chunk: Pairs| {
                 seen += chunk.len();
                 Ok(false)
             },
         )
         .unwrap();
         assert!(!push.completed);
-        assert!(seen < full.items.len(), "stopped after {seen}");
+        assert!(seen < full.len(), "stopped after {seen}");
+        assert_eq!(push.report.metrics.emitted, seen);
     }
 
     #[test]
     fn empty_inputs_yield_empty_runs() {
-        let run = parallel_join::<TsTuple>(
-            ParallelPattern::GeneralOverlap,
-            vec![],
-            vec![],
-            4,
-            OpConfig::new(),
-        )
-        .unwrap();
-        assert!(run.items.is_empty());
+        let (pairs, run) = join_run(ParallelPattern::GeneralOverlap, &[], &[], 4);
+        assert!(pairs.is_empty());
         assert_eq!(run.dispatched, 0);
-        let run = parallel_semijoin::<TsTuple>(
-            ParallelPattern::During,
-            vec![],
-            vec![],
-            4,
-            OpConfig::new(),
-        )
-        .unwrap();
-        assert!(run.items.is_empty());
+        let (kept, _) = semi_run(ParallelPattern::During, &[], &[], 4);
+        assert!(kept.is_empty());
     }
 }

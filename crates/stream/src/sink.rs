@@ -6,8 +6,8 @@
 //! executor *pushes* row chunks into the sink as operators drain, and the
 //! sink decides what to keep. Three consumers cover the common shapes:
 //!
-//! * [`CollectSink`] — keep everything (the materializing behaviour,
-//!   reimplemented on the push path);
+//! * [`CollectSink`] — keep everything (`QueryOutput::rows`, and the
+//!   inputs of plan nodes that need them materialized);
 //! * [`LimitSink`] — keep the first `limit` rows and signal early
 //!   termination once full, so `\set limit` stops the producer instead of
 //!   truncating a fully-built vector;
@@ -84,8 +84,84 @@ pub trait RowSink {
     fn finish(&mut self) -> SinkStats;
 }
 
-/// Collects every pushed row — the materializing consumer that keeps the
-/// `QueryOutput`-returning entry points working on the push path.
+/// The consumer of an operator's output chunks — the `emit` argument of
+/// the push dispatch ([`crate::run_join_kind_each`]) and the parallel
+/// drivers. Any `FnMut(Vec<T>) -> TdbResult<bool>` closure is one (inline
+/// closures need an annotated parameter type). A consumer that only
+/// counts overrides [`Emit::wants_items`]; producers then hand it bare
+/// counts, and the join dispatch switches to its count-only kernels.
+pub trait Emit<T> {
+    /// Does this consumer need the items? `false` selects count-only
+    /// production and [`Emit::push_count`].
+    fn wants_items(&self) -> bool {
+        true
+    }
+
+    /// Offer a chunk of items. Returns `false` when the consumer has seen
+    /// enough and the producer should stop.
+    fn push(&mut self, chunk: Vec<T>) -> TdbResult<bool>;
+
+    /// Offer a bare item count; only called when [`Emit::wants_items`]
+    /// is `false`.
+    fn push_count(&mut self, n: usize) -> TdbResult<bool> {
+        let _ = n;
+        Ok(true)
+    }
+
+    /// Offer `chunk` as items, or as its length to a counting consumer.
+    fn offer(&mut self, chunk: Vec<T>) -> TdbResult<bool> {
+        if self.wants_items() {
+            self.push(chunk)
+        } else {
+            self.push_count(chunk.len())
+        }
+    }
+}
+
+impl<T, F> Emit<T> for F
+where
+    F: FnMut(Vec<T>) -> TdbResult<bool>,
+{
+    fn push(&mut self, chunk: Vec<T>) -> TdbResult<bool> {
+        self(chunk)
+    }
+}
+
+/// The count-only [`Emit`] consumer: declines items and tallies how many
+/// the producer made.
+#[derive(Debug, Default)]
+pub struct Counter(pub usize);
+
+/// A vector is the collecting [`Emit`] consumer: it appends every chunk.
+impl<T> Emit<T> for Vec<T> {
+    fn push(&mut self, mut chunk: Vec<T>) -> TdbResult<bool> {
+        self.append(&mut chunk);
+        Ok(true)
+    }
+}
+
+impl<T> Emit<T> for Counter {
+    fn wants_items(&self) -> bool {
+        false
+    }
+
+    fn push(&mut self, chunk: Vec<T>) -> TdbResult<bool> {
+        self.0 += chunk.len();
+        Ok(true)
+    }
+
+    fn push_count(&mut self, n: usize) -> TdbResult<bool> {
+        self.0 += n;
+        Ok(true)
+    }
+}
+
+/// Collects every pushed row — the materializing consumer behind
+/// `QueryOutput::rows` and behind every plan node that needs its inputs
+/// materialized. It takes the first pushed vector whole (a producer's
+/// buffer is moved in, not copied again), and it sums [`row_bytes`] over
+/// the kept rows only when [`RowSink::finish`] asks, so collecting pays no
+/// per-row accounting.
 #[derive(Debug, Default)]
 pub struct CollectSink {
     rows: Vec<Row>,
@@ -112,9 +188,12 @@ impl CollectSink {
 impl RowSink for CollectSink {
     fn push(&mut self, rows: &mut Vec<Row>) -> TdbResult<bool> {
         self.stats.rows += rows.len() as u64;
-        self.stats.bytes += rows.iter().map(row_bytes).sum::<u64>();
         self.stats.batches += 1;
-        self.rows.append(rows);
+        if self.rows.is_empty() {
+            std::mem::swap(&mut self.rows, rows);
+        } else {
+            self.rows.append(rows);
+        }
         Ok(true)
     }
 
@@ -125,6 +204,7 @@ impl RowSink for CollectSink {
     }
 
     fn finish(&mut self) -> SinkStats {
+        self.stats.bytes = self.rows.iter().map(row_bytes).sum();
         self.stats
     }
 }

@@ -1,12 +1,12 @@
-//! Loom model of the partitioned-parallel handoff (`parallel_join` /
-//! `parallel_semijoin` in `tdb_stream::partition`): K workers each process
+//! Loom model of the partitioned-parallel handoff (`parallel_join_each` /
+//! `parallel_semijoin_each` in `tdb_stream::partition`): K workers each process
 //! a fringe-replicated partition, dedup their outputs (owner-of-max for
 //! joins, ordinal merge for semijoins), and hand results back to the
 //! coordinator through shared state.
 //!
 //! The model re-creates that structure with loom's `thread`/`sync`
 //! primitives around the *real* partitioning and dedup code
-//! ([`PartitionSpec`], [`partition_with_fringe`], [`merge_tagged`]), so
+//! ([`PartitionSpec`], [`partition_with_fringe`], [`merge_tagged_each`]), so
 //! the checked property is the one the production driver relies on: no
 //! interleaving of worker completion can lose, duplicate, or reorder a
 //! result past the dedup layer.
@@ -20,7 +20,7 @@
 use loom::sync::{Arc, Mutex};
 use loom::thread;
 use tdb_core::{Temporal, TsTuple};
-use tdb_stream::{merge_tagged, partition_with_fringe, PartitionSpec, Tagged};
+use tdb_stream::{merge_tagged_each, partition_with_fringe, PartitionSpec, Tagged};
 
 fn iv(s: i64, e: i64) -> TsTuple {
     TsTuple::interval(s, e).unwrap()
@@ -65,7 +65,7 @@ fn owner_dedup_join_handoff_is_exactly_once() {
                         .iter()
                         .flat_map(|x| yp.iter().map(move |y| (x.clone(), y.clone())))
                         .filter(|(x, y)| x.period().contains(&y.period()))
-                        // Owner-of-max dedup, exactly as in `parallel_join`.
+                        // Owner-of-max dedup, exactly as in `parallel_join_each`.
                         .filter(|(x, y)| spec.owner_of(x.ts().max_of(y.ts())) == i)
                         .collect();
                     results.lock().unwrap().extend(owned);
@@ -134,7 +134,8 @@ fn ordinal_merge_semijoin_handoff_is_exactly_once() {
         }
 
         let parts = Arc::try_unwrap(parts).unwrap().into_inner().unwrap();
-        let got = merge_tagged(parts);
+        let mut got = Vec::new();
+        merge_tagged_each(parts, usize::MAX, &mut got).unwrap();
         assert_eq!(got, oracle, "ordinal merge lost a tuple or kept a dup");
     });
 }

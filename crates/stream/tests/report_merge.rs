@@ -7,14 +7,31 @@
 use proptest::prelude::*;
 use tdb_core::{StreamOrder, TsTuple};
 use tdb_stream::{
-    parallel_join, parallel_semijoin, OpConfig, OpMetrics, OpReport, ParallelPattern,
-    WorkspaceStats,
+    parallel_join_each, parallel_semijoin_each, OpConfig, OpMetrics, OpReport, ParallelPattern,
+    ParallelPush, WorkspaceStats,
 };
 
 fn workload(spec: &[(i64, i64)]) -> Vec<TsTuple> {
     spec.iter()
         .map(|(s, d)| TsTuple::interval(*s, *s + *d).expect("generated interval is valid"))
         .collect()
+}
+
+type Pairs = Vec<(TsTuple, TsTuple)>;
+
+/// A parallel Contains join run to completion, with its delivered pairs.
+fn join_run(xs: Vec<TsTuple>, ys: Vec<TsTuple>, k: usize) -> (Pairs, ParallelPush) {
+    let mut pairs = Vec::new();
+    let run = parallel_join_each(
+        ParallelPattern::Contains,
+        xs,
+        ys,
+        k,
+        OpConfig::new(),
+        &mut pairs,
+    )
+    .expect("parallel join runs");
+    (pairs, run)
 }
 
 fn synthetic_report(seed: ((u8, u8), (u8, u8, u8))) -> OpReport {
@@ -32,8 +49,8 @@ fn synthetic_report(seed: ((u8, u8), (u8, u8, u8))) -> OpReport {
 }
 
 /// `report` must relate to `per_partition` as sum-of-counters /
-/// max-of-peaks. `emitted` is checked by the callers: joins keep the
-/// workers' sum, semijoins rewrite it to the post-dedup output size.
+/// max-of-peaks. `emitted` is checked by the callers: the drivers rewrite
+/// it to the deduplicated output they delivered.
 fn assert_merged(report: &OpReport, parts: &[OpReport]) {
     let m = &report.metrics;
     let sum = |f: fn(&OpReport) -> usize| parts.iter().map(f).sum::<usize>();
@@ -78,38 +95,66 @@ proptest! {
         join in proptest::bool::ANY,
     ) {
         let (xs, ys) = (workload(&xs), workload(&ys));
+        let workers_emitted =
+            |run: &ParallelPush| run.per_partition.iter().map(|p| p.metrics.emitted).sum::<usize>();
         if join {
-            let run = parallel_join(ParallelPattern::Contains, xs, ys, k, OpConfig::new())
-                .expect("parallel join runs");
+            let (pairs, run) = join_run(xs, ys, k);
             assert_merged(&run.report, &run.per_partition);
-            // Joins are owner-deduplicated at emit time, so the workers'
-            // summed counter is what actually came out.
-            let emitted: usize = run.per_partition.iter().map(|p| p.metrics.emitted).sum();
-            assert_eq!(run.report.metrics.emitted, emitted);
+            // Workers emit fringe pairs in every partition that sees both
+            // tuples; owner dedup keeps one copy, and the merged report
+            // counts the pairs delivered.
+            assert_eq!(run.report.metrics.emitted, pairs.len());
+            assert!(run.report.metrics.emitted <= workers_emitted(&run));
         } else {
-            let run = parallel_semijoin(ParallelPattern::Contains, xs, ys, k, OpConfig::new())
-                .expect("parallel semijoin runs");
+            let mut kept = Vec::new();
+            let run = parallel_semijoin_each(
+                ParallelPattern::Contains,
+                xs,
+                ys,
+                k,
+                OpConfig::new(),
+                &mut kept,
+            )
+            .expect("parallel semijoin runs");
             assert_merged(&run.report, &run.per_partition);
             // Fringe tuples may be kept by several workers; the merged
             // report counts the post-dedup output.
-            let emitted: usize = run.per_partition.iter().map(|p| p.metrics.emitted).sum();
-            assert_eq!(run.report.metrics.emitted, run.items.len());
-            assert!(run.report.metrics.emitted <= emitted);
+            assert_eq!(run.report.metrics.emitted, kept.len());
+            assert!(run.report.metrics.emitted <= workers_emitted(&run));
         }
     }
 }
 
 /// The executor's `PhysicalPlan::Parallel` arm consumes exactly
-/// `ParallelRun::report`; pin the sorted-entry case too (no fringe, one
+/// `ParallelPush::report`; pin the sorted-entry case too (no fringe, one
 /// partition) so the serial and parallel reports coincide.
 #[test]
 fn single_partition_report_equals_its_only_worker() {
     let xs = workload(&[(0, 30), (5, 3), (12, 4)]);
     let ys = workload(&[(6, 1), (13, 2)]);
-    let run = parallel_join(ParallelPattern::Contains, xs, ys, 1, OpConfig::new())
-        .expect("parallel join runs");
+    let (pairs, run) = join_run(xs, ys, 1);
     assert_eq!(run.per_partition.len(), 1);
     assert_merged(&run.report, &run.per_partition);
-    assert_eq!(run.report.metrics.emitted, run.items.len());
+    assert_eq!(run.report.metrics.emitted, pairs.len());
     let _ = StreamOrder::TS_ASC; // order type participates via worker_orders
+}
+
+/// K > 1 with fringe duplicates: a container spanning every partition
+/// boundary contains several containees whose own lifespans cross
+/// boundaries, so several workers emit the same pair. The merged report
+/// must count each delivered pair once — not the workers' sum.
+#[test]
+fn fringe_duplicates_are_counted_once() {
+    let xs = workload(&[(0, 100)]);
+    let ys = workload(&[(20, 15), (45, 20), (70, 10)]);
+    for k in [2usize, 4] {
+        let (pairs, run) = join_run(xs.clone(), ys.clone(), k);
+        assert_eq!(pairs.len(), 3, "k={k}");
+        assert_eq!(run.report.metrics.emitted, pairs.len(), "k={k}");
+        let workers: usize = run.per_partition.iter().map(|p| p.metrics.emitted).sum();
+        assert!(
+            workers > pairs.len(),
+            "k={k}: the instance must put fringe duplicates in front of the dedup ({workers})"
+        );
+    }
 }

@@ -90,13 +90,14 @@ pub mod prelude {
     };
     pub use tdb_storage::{Catalog, ExternalSorter, HeapFile, IoStats};
     pub use tdb_stream::{
-        from_sorted_vec, from_vec, parallel_join, parallel_semijoin, partition_with_fringe,
-        BeforeJoin, BeforeSemijoin, BufferedJoin, CollectSink, ContainJoinTsTe, ContainJoinTsTs,
-        ContainSelfSemijoin, ContainSemijoinStab, ContainedSelfSemijoin, ContainedSemijoinStab,
-        CountSink, EventMergeJoin, GroupedSum, Instrumented, KWayMerge, LimitSink, MergeEquiJoin,
-        NestedLoopJoin, OpConfig, OpReport, OverlapJoin, OverlapMode, OverlapSemijoin,
-        ParallelPattern, ParallelRun, PartitionSpec, ReadPolicy, RowSink, SinkStats, SweepSemijoin,
-        Tagged, TupleStream, Workspace, WorkspaceStats, DEFAULT_BATCH_ROWS, MAX_BATCH_ROWS,
+        from_sorted_vec, from_vec, parallel_join_each, parallel_semijoin_each,
+        partition_with_fringe, BeforeJoin, BeforeSemijoin, BufferedJoin, CollectSink,
+        ContainJoinTsTe, ContainJoinTsTs, ContainSelfSemijoin, ContainSemijoinStab,
+        ContainedSelfSemijoin, ContainedSemijoinStab, CountSink, EventMergeJoin, GroupedSum,
+        Instrumented, KWayMerge, LimitSink, MergeEquiJoin, NestedLoopJoin, OpConfig, OpReport,
+        OverlapJoin, OverlapMode, OverlapSemijoin, ParallelPattern, PartitionSpec, ReadPolicy,
+        RowSink, SinkStats, SweepSemijoin, Tagged, TupleStream, Workspace, WorkspaceStats,
+        DEFAULT_BATCH_ROWS, MAX_BATCH_ROWS,
     };
     pub use tdb_wal::{FlushPolicy, WalMetrics, WalRecord, WalStore};
 }

@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use tdb::prelude::*;
-use tdb::stream::{run_join_kind, run_semijoin_kind, StreamOpKind};
+use tdb::stream::{run_join_kind_each, run_semijoin_kind_each, StreamOpKind};
 
 /// The batch sizes under test: degenerate (1), sub-default (64), and the
 /// default (1024, larger than every generated input so a whole side lands
@@ -123,12 +123,14 @@ proptest! {
         for (kind, xo, yo, cfg) in join_cases() {
             let x = sorted(xs.clone(), xo);
             let y = sorted(ys.clone(), yo);
-            let (row_out, row_rep) = run_join_kind(
-                kind, cfg.with_batch_rows(0), x.clone(), xo, y.clone(), yo,
+            let mut row_out: Vec<(TsTuple, TsTuple)> = Vec::new();
+            let (_, row_rep) = run_join_kind_each(
+                kind, cfg.with_batch_rows(0), x.clone(), xo, y.clone(), yo, &mut row_out,
             ).unwrap();
             for rows in BATCH_SIZES {
-                let (out, rep) = run_join_kind(
-                    kind, cfg.with_batch_rows(rows), x.clone(), xo, y.clone(), yo,
+                let mut out: Vec<(TsTuple, TsTuple)> = Vec::new();
+                let (_, rep) = run_join_kind_each(
+                    kind, cfg.with_batch_rows(rows), x.clone(), xo, y.clone(), yo, &mut out,
                 ).unwrap();
                 prop_assert_eq!(&out, &row_out, "{} batch {}", kind, rows);
                 assert_reports_match(&rep, &row_rep, &format!("{kind} batch {rows}"));
@@ -145,12 +147,14 @@ proptest! {
         for (kind, xo, yo, cfg) in semijoin_cases() {
             let x = sorted(xs.clone(), xo);
             let y = sorted(ys.clone(), yo);
-            let (row_out, row_rep) = run_semijoin_kind(
-                kind, cfg.with_batch_rows(0), x.clone(), xo, y.clone(), yo,
+            let mut row_out: Vec<TsTuple> = Vec::new();
+            let (_, row_rep) = run_semijoin_kind_each(
+                kind, cfg.with_batch_rows(0), x.clone(), xo, y.clone(), yo, &mut row_out,
             ).unwrap();
             for rows in BATCH_SIZES {
-                let (out, rep) = run_semijoin_kind(
-                    kind, cfg.with_batch_rows(rows), x.clone(), xo, y.clone(), yo,
+                let mut out: Vec<TsTuple> = Vec::new();
+                let (_, rep) = run_semijoin_kind_each(
+                    kind, cfg.with_batch_rows(rows), x.clone(), xo, y.clone(), yo, &mut out,
                 ).unwrap();
                 prop_assert_eq!(&out, &row_out, "{} batch {}", kind, rows);
                 assert_reports_match(&rep, &row_rep, &format!("{kind} batch {rows}"));
@@ -172,26 +176,35 @@ proptest! {
             ParallelPattern::AllenOverlaps,
         ] {
             for k in [1usize, 4] {
-                let row_join = parallel_join(
-                    pattern, xs.clone(), ys.clone(), k, OpConfig::new().with_batch_rows(0),
+                let row_cfg = OpConfig::new().with_batch_rows(0);
+                let mut row_pairs = Vec::new();
+                let row_join = parallel_join_each(
+                    pattern, xs.clone(), ys.clone(), k, row_cfg, &mut row_pairs,
                 ).unwrap();
-                let row_semi = parallel_semijoin(
-                    pattern, xs.clone(), ys.clone(), k, OpConfig::new().with_batch_rows(0),
+                let mut row_kept = Vec::new();
+                let row_semi = parallel_semijoin_each(
+                    pattern, xs.clone(), ys.clone(), k, row_cfg, &mut row_kept,
                 ).unwrap();
                 for rows in BATCH_SIZES {
                     let cfg = OpConfig::new().with_batch_rows(rows);
-                    let join = parallel_join(pattern, xs.clone(), ys.clone(), k, cfg).unwrap();
+                    let mut pairs = Vec::new();
+                    let join = parallel_join_each(
+                        pattern, xs.clone(), ys.clone(), k, cfg, &mut pairs,
+                    ).unwrap();
                     prop_assert_eq!(
-                        &join.items, &row_join.items,
+                        &pairs, &row_pairs,
                         "{:?} join K={} batch {}", pattern, k, rows
                     );
                     prop_assert_eq!(
                         join.report.max_workspace(), row_join.report.max_workspace(),
                         "{:?} join K={} batch {}: workspace peak", pattern, k, rows
                     );
-                    let semi = parallel_semijoin(pattern, xs.clone(), ys.clone(), k, cfg).unwrap();
+                    let mut kept = Vec::new();
+                    let semi = parallel_semijoin_each(
+                        pattern, xs.clone(), ys.clone(), k, cfg, &mut kept,
+                    ).unwrap();
                     prop_assert_eq!(
-                        &semi.items, &row_semi.items,
+                        &kept, &row_kept,
                         "{:?} semijoin K={} batch {}", pattern, k, rows
                     );
                     prop_assert_eq!(
