@@ -89,12 +89,13 @@ timeout 60 cargo run --release -p tdb-bench --features check --bin experiments -
 echo "==> observability soak (E18, bounded)"
 timeout 60 cargo run --release -p tdb-bench --features check --bin experiments -- obs
 
-# Bounded batch-execution check (E19): columnar batch kernels vs the
-# row-at-a-time operators on the E15 workload — identical pairs, counters,
-# and workspace peaks asserted, observed peaks proven under the static cap
+# Bounded batch-kernel check (E19): the serial columnar Contain-join
+# kernel vs its row-at-a-time oracle (the row operator built directly) at
+# 20k/40k per side of the E15 workload — identical pairs, counters, and
+# workspace peaks asserted, observed peaks proven under the static cap
 # (cap_exceeded must be 0). Speedups are recorded, not asserted: they
 # depend on core count and cache size. Hard-capped at 60.
-echo "==> batch equivalence + bench (E19, bounded)"
+echo "==> batch kernel vs row oracle + bench (E19, bounded)"
 timeout 60 cargo run --release -p tdb-bench --features check --bin experiments -- batch
 
 # Bounded sink bench (E21): the E19 40k/side Contain-join re-measured

@@ -42,8 +42,8 @@ pub struct ExecOptions<'a> {
     /// Collect per-operator [`OpObservation`]s (disable for the
     /// instrumentation-overhead baseline).
     pub collect_trace: bool,
-    /// Rows per columnar batch on the vectorized execution path; `0` runs
-    /// the row-at-a-time operators.
+    /// Rows per columnar batch fed to the stream operators' vectorized
+    /// kernels (`0` is clamped to 1).
     pub batch_rows: usize,
     /// Push-mode output sink. When set, result rows are pushed into it as
     /// operators drain — chunk by chunk, honoring its early-termination
@@ -85,7 +85,7 @@ impl<'a> ExecOptions<'a> {
         self
     }
 
-    /// Set the columnar batch size (`0` = row-at-a-time operators).
+    /// Set the rows per columnar batch.
     pub fn with_batch_rows(mut self, batch_rows: usize) -> ExecOptions<'a> {
         self.batch_rows = batch_rows;
         self

@@ -38,10 +38,9 @@ pub struct PlannerConfig {
     /// [`PhysicalPlan::Parallel`] driver that runs `K` operator instances
     /// over disjoint time ranges with fringe replication.
     pub parallelism: usize,
-    /// Rows per columnar batch for stream temporal operators. `0` selects
-    /// the row-at-a-time pull operators; any positive value selects the
-    /// vectorized batch kernels, which produce identical output and
-    /// identical workspace statistics (`tests/batch_equivalence.rs`).
+    /// Rows per columnar batch fed to the stream temporal operators'
+    /// vectorized kernels (`0` is clamped to 1). Output and workspace
+    /// statistics do not depend on it (`tests/batch_equivalence.rs`).
     pub batch_rows: usize,
 }
 
@@ -83,7 +82,7 @@ impl PlannerConfig {
         self
     }
 
-    /// Set the rows-per-batch for stream operators (`0` = row-at-a-time).
+    /// Set the rows per columnar batch for stream operators.
     pub fn with_batch_rows(mut self, rows: usize) -> PlannerConfig {
         self.batch_rows = rows;
         self

@@ -1,9 +1,8 @@
-//! Extension operators: coalescing throughput, timeslice via sorted scan
-//! vs. interval-index stab, and the concurrency profile sweep.
+//! Extension operators: coalescing throughput, timeslice via sorted scan,
+//! and the concurrency profile sweep.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tdb::prelude::*;
-use tdb::storage::IntervalIndex;
 use tdb::stream::{coalesce_relation, concurrency_profile, Timeslice};
 
 fn bench(c: &mut Criterion) {
@@ -38,12 +37,6 @@ fn bench(c: &mut Criterion) {
                 }
                 k
             })
-        });
-
-        let index =
-            IntervalIndex::build(data.iter().enumerate().map(|(i, t)| (t.period, i as u64)));
-        group.bench_with_input(BenchmarkId::new("timeslice_index_stab", n), &n, |b, _| {
-            b.iter(|| index.stab(mid).len())
         });
     }
     group.finish();

@@ -12,7 +12,7 @@
 //! cost, E6=Figure 4 aggregation, E15=time-partitioned parallel scaling,
 //! E16=live ingestion soak, E17=framed-TCP network soak,
 //! E18=observability overhead + metrics-scraped soak,
-//! E19=columnar batch execution vs row-at-a-time, E20=WAL durability:
+//! E19=columnar batch kernel vs its row-at-a-time oracle, E20=WAL durability:
 //! fsync-policy throughput + recovery cost vs the open window,
 //! E21=streaming result sinks vs output materialization,
 //! E22=stage-span + SLO overhead and the burn-rate `/healthz` flip.
@@ -792,33 +792,35 @@ fn collect_join(
     (out, rep)
 }
 
-/// E19 — columnar batch execution vs row-at-a-time, on the E15 workload.
+/// E19 — the columnar batch kernel vs its row-at-a-time oracle, on the
+/// E15 workload.
 ///
-/// Two sections. (1) A serial scale sweep of the Contain-join at
-/// `n ∈ {20k, 40k}` per side: the columnar kernel's edge is cache
-/// residency, so the speedup is largest while the materialized pair
-/// vector still fits in the last-level cache and shrinks toward parity
-/// once output writes hit the memory wall. (2) The time-partitioned
-/// parallel Contain-join over the same 40k/side Poisson workload as E15,
-/// at `K ∈ {1, 8}`. Every run asserts the two paths agree exactly — same
-/// pairs, same comparison counts, same workspace peak — and that the
-/// observed peak stays under the analyzer's static cap on **both** paths
-/// (`cap_exceeded == 0`), then records the batched-over-row wall-clock
-/// speedup. Emits `results/BENCH_batch.json`.
+/// A serial scale sweep of the Contain-join at `n ∈ {20k, 40k}` per side:
+/// the row operator (`ContainJoinTsTe`, built directly and drained with
+/// `pull_each`) against the batched dispatch (`run_join_kind_each`, the
+/// only serving path). The columnar kernel's edge is cache residency, so
+/// the speedup is largest while the materialized pair vector still fits
+/// in the last-level cache and shrinks toward parity once output writes
+/// hit the memory wall. Every run asserts the two agree exactly — same
+/// pairs, same counters, same workspace peak — and that the observed peak
+/// stays under the analyzer's static cap (`cap_exceeded == 0`), then
+/// records the batched-over-row wall-clock speedup. (The partitioned
+/// K ∈ {1, 2, 4, 8} Contain-join is checked against K = 1 under the same
+/// cap by E15.) Emits `results/BENCH_batch.json`.
 fn batch(json: &mut BTreeMap<String, Json>) {
-    use tdb::stream::StreamOpKind;
+    use tdb::stream::{pull_each, StreamOpKind};
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    println!("E19 · columnar batch execution vs row-at-a-time Contain-join ({cores} core(s))");
+    println!("E19 · columnar batch kernel vs row-at-a-time Contain-join ({cores} core(s))");
     let mut cap_exceeded = 0usize;
 
-    // Section 1: serial scale sweep. Correctness and timing are separate
-    // passes: holding one path's multi-megabyte pair vector alive while
-    // clocking the other pollutes the heap and the cache enough to halve
-    // the measured kernel gain, so the timing pass drops every output the
-    // moment the clock stops. Sorted inputs are cloned inside the timed
-    // region on both paths, so the clone cost cancels in the ratio.
+    // Correctness and timing are separate passes: holding one path's
+    // multi-megabyte pair vector alive while clocking the other pollutes
+    // the heap and the cache enough to halve the measured kernel gain, so
+    // the timing pass drops every output the moment the clock stops.
+    // Sorted inputs are cloned inside the timed region on both paths, so
+    // the clone cost cancels in the ratio.
     let mut serial_json = Vec::new();
     for n in [20_000usize, 40_000] {
         let w = Workload::poisson("par", n, 3.0, 30.0, 3.0, 8.0, 1501);
@@ -828,13 +830,23 @@ fn batch(json: &mut BTreeMap<String, Json>) {
         StreamOrder::TS_ASC.sort(&mut x);
         let mut y = w.ys.clone();
         StreamOrder::TE_ASC.sort(&mut y);
-        let run_path =
-            |rows: usize| collect_join(OpConfig::new().with_batch_rows(rows), x.clone(), y.clone());
+        let row_path = || {
+            let mut op = OpConfig::new()
+                .contain_join_ts_te(
+                    from_sorted_vec(x.clone(), StreamOrder::TS_ASC).unwrap(),
+                    from_sorted_vec(y.clone(), StreamOrder::TE_ASC).unwrap(),
+                )
+                .unwrap();
+            let mut out = Vec::new();
+            pull_each(&mut op, &mut out).unwrap();
+            (out, op.report())
+        };
+        let batch_path = || collect_join(OpConfig::new(), x.clone(), y.clone());
 
         // Correctness pass (untimed): outputs compared, then dropped.
         let (pairs, peak, comparisons) = {
-            let (row_out, row_rep) = run_path(0);
-            let (batch_out, batch_rep) = run_path(tdb::stream::DEFAULT_BATCH_ROWS);
+            let (row_out, row_rep) = row_path();
+            let (batch_out, batch_rep) = batch_path();
             assert_eq!(batch_out, row_out, "n={n}: outputs diverged");
             assert_eq!(
                 batch_rep.metrics, row_rep.metrics,
@@ -856,17 +868,17 @@ fn batch(json: &mut BTreeMap<String, Json>) {
         }
 
         // Timing pass: best-of-3 per path, only the clock survives.
-        let time_path = |rows: usize| {
+        let time_path = |path: &dyn Fn() -> (Vec<(TsTuple, TsTuple)>, OpReport)| {
             let mut best = u128::MAX;
             for _ in 0..3 {
-                let (out, us) = timed(|| run_path(rows));
+                let (out, us) = timed(path);
                 std::hint::black_box(&out);
                 best = best.min(us);
             }
             best
         };
-        let row_us = time_path(0);
-        let batch_us = time_path(tdb::stream::DEFAULT_BATCH_ROWS);
+        let row_us = time_path(&row_path);
+        let batch_us = time_path(&batch_path);
         let speedup = row_us as f64 / batch_us.max(1) as f64;
         println!(
             "    serial n={n:>6}: row {:>8.1} ms   batched {:>8.1} ms   speedup {speedup:>4.2}×   \
@@ -886,104 +898,20 @@ fn batch(json: &mut BTreeMap<String, Json>) {
             "workspace_static_cap" => cap,
         });
     }
-
-    // Section 2: partitioned-parallel execution on the E15 workload.
-    let w = Workload::poisson("par", 40_000, 3.0, 30.0, 3.0, 8.0, 1501);
-    let (sx, sy) = w.stats();
-    let static_cap = workspace_cap(tdb::stream::StreamOpKind::ContainJoinTsTe, &sx, Some(&sy));
-
-    let mut rows_json = Vec::new();
-    for k in [1usize, 8] {
-        let run_path = |rows: usize| {
-            let mut items = Vec::new();
-            let run = parallel_join_each(
-                ParallelPattern::Contains,
-                w.xs.clone(),
-                w.ys.clone(),
-                k,
-                OpConfig::new().with_batch_rows(rows),
-                &mut items,
-            )
-            .unwrap();
-            (items, run.report)
-        };
-
-        // Correctness pass (untimed): outputs compared, then dropped so
-        // the timing pass below starts from a clean heap.
-        let (pairs, peak, comparisons) = {
-            let (row_items, row_rep) = run_path(0);
-            let (batch_items, batch_rep) = run_path(tdb::stream::DEFAULT_BATCH_ROWS);
-            assert_eq!(
-                batch_items, row_items,
-                "K={k}: batched and row outputs diverged"
-            );
-            assert_eq!(
-                batch_rep.metrics, row_rep.metrics,
-                "K={k}: batched and row counters diverged"
-            );
-            assert_eq!(
-                batch_rep.max_workspace(),
-                row_rep.max_workspace(),
-                "K={k}: workspace peak must be batch-size-invariant"
-            );
-            (
-                batch_items.len(),
-                batch_rep.max_workspace(),
-                batch_rep.metrics.comparisons,
-            )
-        };
-        if peak > static_cap {
-            cap_exceeded += 1;
-        }
-
-        // Timing pass: best-of-3 per path, outputs dropped per iteration.
-        let time_path = |rows: usize| {
-            let mut best = u128::MAX;
-            for _ in 0..3 {
-                let (run, us) = timed(|| run_path(rows));
-                std::hint::black_box(&run);
-                best = best.min(us);
-            }
-            best
-        };
-        let row_us = time_path(0);
-        let batch_us = time_path(tdb::stream::DEFAULT_BATCH_ROWS);
-        let speedup = row_us as f64 / batch_us.max(1) as f64;
-        println!(
-            "    K={k}: row {:>8.1} ms   batched {:>8.1} ms   speedup {speedup:>4.2}×   \
-             {pairs} pairs   workspace {peak} ≤ cap {static_cap}",
-            row_us as f64 / 1000.0,
-            batch_us as f64 / 1000.0,
-        );
-        rows_json.push(jobj! {
-            "k" => k,
-            "row_us" => row_us,
-            "batch_us" => batch_us,
-            "batch_rows" => tdb::stream::DEFAULT_BATCH_ROWS,
-            "speedup_batched" => speedup,
-            "pairs" => pairs,
-            "comparisons" => comparisons,
-            "workspace_max" => peak,
-            "workspace_static_cap" => static_cap,
-        });
-    }
     assert_eq!(
         cap_exceeded, 0,
         "observed workspace peaks exceeded the static cap"
     );
     let doc = jobj! {
-        "experiment" => "E19 columnar batch execution vs row-at-a-time",
+        "experiment" => "E19 columnar batch kernel vs row-at-a-time",
         "cores" => cores,
-        "n_per_side" => 40_000usize,
         "cap_exceeded" => cap_exceeded,
-        "workspace_static_cap" => static_cap,
-        "serial" => Json::Array(serial_json),
-        "rows" => Json::Array(rows_json.clone()),
+        "serial" => Json::Array(serial_json.clone()),
     };
     std::fs::create_dir_all("results").unwrap();
     std::fs::write("results/BENCH_batch.json", doc.to_string_pretty()).unwrap();
     println!("\n    results/BENCH_batch.json written (cap_exceeded = {cap_exceeded})");
-    json.insert("batch".into(), Json::Array(rows_json));
+    json.insert("batch".into(), Json::Array(serial_json));
 }
 
 /// E21 — streaming result sinks vs output materialization, on the E19

@@ -27,18 +27,9 @@ use tdb::prelude::*;
 /// REPL state: one local engine plus this shell's per-client settings.
 pub struct Session {
     engine: Engine,
-    /// Echo logical and physical plans before running queries.
-    pub explain: bool,
-    /// Echo the static-analysis certificate before running queries
-    /// (`\explain verify`).
-    pub verify: bool,
-    /// Planner strategy for queries.
-    pub config: PlannerConfig,
-    /// Maximum rows printed per result.
-    pub row_limit: usize,
-    /// Attach a per-operator trace (observed workspace vs the
-    /// analyzer's predictions) to every query result (`\trace on`).
-    pub trace: bool,
+    /// Per-client settings (`\explain`, `\config`, `\set`, `\trace`),
+    /// held here and mutated by the engine in place.
+    pub state: ClientState,
     buffer: String,
 }
 
@@ -57,46 +48,21 @@ impl Session {
     /// Create a session backed by a catalog directory. Live-ingest staging
     /// runs spill under `<dir>/live`.
     pub fn open(dir: impl AsRef<std::path::Path>) -> TdbResult<Session> {
-        let ctx = ClientState::default();
         Ok(Session {
             engine: Engine::open(dir)?,
-            explain: ctx.explain,
-            verify: ctx.verify,
-            config: ctx.config,
-            row_limit: ctx.row_limit,
-            trace: ctx.trace,
+            state: ClientState::default(),
             buffer: String::new(),
         })
-    }
-
-    fn ctx(&self) -> ClientState {
-        ClientState {
-            explain: self.explain,
-            verify: self.verify,
-            config: self.config,
-            row_limit: self.row_limit,
-            trace: self.trace,
-        }
-    }
-
-    fn absorb(&mut self, ctx: ClientState) {
-        self.explain = ctx.explain;
-        self.verify = ctx.verify;
-        self.config = ctx.config;
-        self.row_limit = ctx.row_limit;
-        self.trace = ctx.trace;
     }
 
     /// Run one complete input through the engine and render the typed
     /// response as shell text.
     fn execute(&mut self, input: &str) -> LineResult {
-        let mut ctx = self.ctx();
-        let resp = self.engine.execute(&mut ctx, input);
-        self.absorb(ctx);
+        let resp = self.engine.execute(&mut self.state, input);
         if let Response::Goodbye = resp {
             return LineResult::Quit;
         }
-        LineResult::Output(render(&resp, self.row_limit))
+        LineResult::Output(render(&resp, self.state.row_limit))
     }
 
     /// Feed one input line.
@@ -110,7 +76,7 @@ impl Session {
                 return match read_stdin() {
                     Ok(text) => {
                         let resp = self.engine.ingest_text(rel, &text);
-                        LineResult::Output(render(&resp, self.row_limit))
+                        LineResult::Output(render(&resp, self.state.row_limit))
                     }
                     Err(e) => LineResult::Output(format!("error: {e}")),
                 };
@@ -134,8 +100,8 @@ impl Session {
     /// plan, and print the verifier's certificate (or its diagnostics).
     /// Shared by the `\analyze` command and the `tdb analyze` subcommand.
     pub fn analyze_query(&mut self, text: &str) -> TdbResult<String> {
-        let report = self.engine.analyze(self.config, text)?;
-        Ok(render(&Response::Analysis(report), self.row_limit))
+        let report = self.engine.analyze(self.state.config, text)?;
+        Ok(render(&Response::Analysis(report), self.state.row_limit))
     }
 }
 
@@ -198,7 +164,7 @@ mod tests {
         let mut s = session("v");
         out(s.feed("\\gen faculty 30 5"));
         out(s.feed("\\explain verify"));
-        assert!(s.verify);
+        assert!(s.state.verify);
         let query = "range of f1 is Faculty range of f2 is Faculty \
                      retrieve (N=f1.Name) \
                      where f1.ValidFrom < f2.ValidFrom and f2.ValidTo < f1.ValidTo;";
@@ -208,7 +174,7 @@ mod tests {
         assert!(msg.contains("λ·E[D]"), "{msg}");
         // `\explain off` clears verify too.
         out(s.feed("\\explain off"));
-        assert!(!s.verify);
+        assert!(!s.state.verify);
     }
 
     #[test]
@@ -264,7 +230,7 @@ mod tests {
         out(s.feed("\\gen faculty 40 9"));
         let msg = out(s.feed("\\set parallelism 4"));
         assert!(msg.contains("4 time-range partitions"), "{msg}");
-        assert_eq!(s.config.parallelism, 4);
+        assert_eq!(s.state.config.parallelism, 4);
         out(s.feed("\\explain on"));
         let query = "range of f1 is Faculty range of f2 is Faculty \
                      retrieve (N=f1.Name) \
@@ -282,15 +248,19 @@ mod tests {
         let mut s = session("batch");
         let msg = out(s.feed("\\set batch 256"));
         assert!(msg.contains("256 rows"), "{msg}");
-        assert_eq!(s.config.batch_rows, 256);
-        let msg = out(s.feed("\\set batch 0"));
-        assert!(msg.contains("row-at-a-time"), "{msg}");
+        assert_eq!(s.state.config.batch_rows, 256);
+        let msg = out(s.feed("\\set batch 1"));
+        assert!(msg.contains("1 rows"), "{msg}");
+        assert_eq!(s.state.config.batch_rows, 1);
         // Unknown keys and out-of-range values surface the engine's typed
         // configuration error, same as over the wire.
         let msg = out(s.feed("\\set warp 9"));
         assert!(msg.contains("configuration error"), "{msg}");
         let msg = out(s.feed("\\set batch 9999999999"));
         assert!(msg.contains("configuration error"), "{msg}");
+        let msg = out(s.feed("\\set batch 0"));
+        assert!(msg.contains("configuration error"), "{msg}");
+        assert_eq!(s.state.config.batch_rows, 1);
     }
 
     #[test]
@@ -298,7 +268,7 @@ mod tests {
         let mut s = session("lim");
         let msg = out(s.feed("\\set limit 3"));
         assert!(msg.contains("row limit: 3"), "{msg}");
-        assert_eq!(s.row_limit, 3);
+        assert_eq!(s.state.row_limit, 3);
         out(s.feed("\\gen intervals T 50 3 10 1"));
         let msg = out(s.feed("range of t is T retrieve (A=t.ValidFrom);"));
         assert!(msg.contains("more rows"), "{msg}");
@@ -376,7 +346,7 @@ mod tests {
         let mut s = session("obs");
         out(s.feed("\\gen intervals T 100 3 10 7"));
         let msg = out(s.feed("\\trace on"));
-        assert!(s.trace, "{msg}");
+        assert!(s.state.trace, "{msg}");
         let msg = out(s.feed(
             "range of a is T range of b is T retrieve (X=a.Id, Y=b.Id) \
              where a.ValidFrom < b.ValidFrom and b.ValidTo < a.ValidTo;",
@@ -389,7 +359,7 @@ mod tests {
         assert!(msg.contains("parse"), "{msg}");
         assert!(msg.contains("execute"), "{msg}");
         out(s.feed("\\trace off"));
-        assert!(!s.trace);
+        assert!(!s.state.trace);
         let msg = out(s.feed("\\stats"));
         assert!(msg.contains("1 queries"), "{msg}");
         assert!(msg.contains("cap exceeded 0"), "{msg}");
@@ -409,7 +379,7 @@ mod tests {
     #[test]
     fn row_limit_truncates_output() {
         let mut s = session("g");
-        s.row_limit = 3;
+        s.state.row_limit = 3;
         out(s.feed("\\gen intervals T 50 3 10 1"));
         let msg = out(s.feed("range of t is T retrieve (A=t.ValidFrom);"));
         assert!(msg.contains("more rows"), "{msg}");

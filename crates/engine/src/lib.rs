@@ -433,17 +433,15 @@ impl Engine {
                 let rows: usize = n
                     .parse()
                     .map_err(|_| TdbError::Config(format!("bad batch size `{n}`")))?;
-                if rows > MAX_BATCH_ROWS {
+                if rows == 0 || rows > MAX_BATCH_ROWS {
                     return Err(TdbError::Config(format!(
-                        "batch size {rows} out of range (0..={MAX_BATCH_ROWS}; 0 = row-at-a-time)"
+                        "batch size {rows} out of range (1..={MAX_BATCH_ROWS})"
                     )));
                 }
                 ctx.config = ctx.config.with_batch_rows(rows);
-                Ok(Response::Info(if rows > 0 {
-                    format!("batch: {rows} rows per operator batch\n")
-                } else {
-                    "batch: row-at-a-time\n".to_string()
-                }))
+                Ok(Response::Info(format!(
+                    "batch: {rows} rows per operator batch\n"
+                )))
             }
             ["\\set", "limit", n] => {
                 let limit: usize = n
@@ -1377,7 +1375,7 @@ pub const HELP: &str = r#"commands:
   \analyze <query>                            verify a query's plan without running it
   \config stream|conventional|naive           planner strategy
   \set parallelism <k>                        time-range partitions for stream operators
-  \set batch <n>                              rows per columnar operator batch (0 = row-at-a-time)
+  \set batch <n>                              rows per columnar operator batch (n >= 1)
   \set limit <n>                              rows delivered per query result
   \ingest <rel> <file|->                      live-append arrivals (`-` reads stdin to EOF);
                                               lines are `<ts> <te> [id [seq]]`
@@ -1776,15 +1774,15 @@ mod tests {
         assert_eq!(ctx.config.batch_rows, tdb::stream::DEFAULT_BATCH_ROWS);
         e.execute(&mut ctx, "\\set batch 64");
         assert_eq!(ctx.config.batch_rows, 64);
-        e.execute(&mut ctx, "\\set batch 0");
-        assert_eq!(ctx.config.batch_rows, 0);
+        e.execute(&mut ctx, "\\set batch 1");
+        assert_eq!(ctx.config.batch_rows, 1);
         let over = tdb::stream::MAX_BATCH_ROWS + 1;
         let resp = e.execute(&mut ctx, &format!("\\set batch {over}"));
         let Response::Error(err) = resp else {
             panic!("expected error, got {resp:?}");
         };
         assert_eq!(err.code, ErrorCode::Config);
-        assert_eq!(ctx.config.batch_rows, 0, "rejected value must not apply");
+        assert_eq!(ctx.config.batch_rows, 1, "rejected value must not apply");
     }
 
     #[test]
@@ -1794,6 +1792,7 @@ mod tests {
             "\\set",
             "\\set warp 9",
             "\\set batch x",
+            "\\set batch 0",
             "\\set parallelism 0",
             "\\set parallelism 1000000",
         ] {
@@ -1815,18 +1814,19 @@ mod tests {
         ctx.row_limit = 10_000;
         let contain = "range of a is T range of b is T retrieve (X=a.Id, Y=b.Id) \
              where a.ValidFrom < b.ValidFrom and b.ValidTo < a.ValidTo;";
-        e.execute(&mut ctx, "\\set batch 0");
-        let Response::Query(row) = e.execute(&mut ctx, contain) else {
+        e.execute(&mut ctx, "\\set batch 1");
+        let Response::Query(one) = e.execute(&mut ctx, contain) else {
             panic!("expected query");
         };
-        for rows in ["1", "64", "1024"] {
+        assert!(!one.rows.rows.is_empty());
+        for rows in ["64", "1024"] {
             e.execute(&mut ctx, &format!("\\set batch {rows}"));
             let Response::Query(q) = e.execute(&mut ctx, contain) else {
                 panic!("expected query");
             };
-            assert_eq!(q.rows, row.rows, "batch {rows}");
+            assert_eq!(q.rows, one.rows, "batch {rows}");
             assert_eq!(
-                q.stats.max_workspace, row.stats.max_workspace,
+                q.stats.max_workspace, one.stats.max_workspace,
                 "batch {rows}: workspace peaks must be batch-size-invariant"
             );
         }

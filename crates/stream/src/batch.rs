@@ -11,11 +11,10 @@
 //! payloads are only touched when a tuple actually matches.
 //!
 //! [`BatchStream`] is the pull surface (batches instead of rows);
-//! [`Batcher`] adapts any row [`TupleStream`]. The push surface —
-//! `process_batch` — lives in [`crate::batch_ops`].
+//! [`VecBatchStream`] slices a sorted vector into batches. The push
+//! surface — `process_batch` — lives in [`crate::batch_ops`].
 
-use crate::stream::TupleStream;
-use tdb_core::{StreamOrder, TdbError, TdbResult, Temporal, TimePoint};
+use tdb_core::{StreamOrder, TdbError, TdbResult, Temporal};
 
 /// Default number of rows per columnar batch. 1024 rows × two `i64`
 /// endpoint columns = 16 KiB of sweep keys — half a typical L1d cache,
@@ -105,7 +104,7 @@ impl<T: Temporal> RowBatch<T> {
 }
 
 /// A fallible, ordered stream of columnar batches — the batch counterpart
-/// of [`TupleStream`].
+/// of [`crate::TupleStream`].
 pub trait BatchStream {
     /// Row payload type.
     type Item;
@@ -118,48 +117,9 @@ pub trait BatchStream {
     fn order(&self) -> Option<StreamOrder>;
 }
 
-/// Adapt a row [`TupleStream`] into a [`BatchStream`] of `rows`-row
-/// batches.
-pub struct Batcher<S: TupleStream> {
-    inner: S,
-    rows: usize,
-}
-
-impl<S: TupleStream> Batcher<S> {
-    /// Wrap `inner`, emitting batches of up to `rows` rows (`rows == 0` is
-    /// treated as 1).
-    pub fn new(inner: S, rows: usize) -> Batcher<S> {
-        Batcher {
-            inner,
-            rows: rows.max(1),
-        }
-    }
-}
-
-impl<S: TupleStream> BatchStream for Batcher<S>
-where
-    S::Item: Temporal,
-{
-    type Item = S::Item;
-
-    fn next_batch(&mut self) -> TdbResult<Option<RowBatch<S::Item>>> {
-        let mut batch = RowBatch::with_capacity(self.rows);
-        while batch.len() < self.rows {
-            match self.inner.next()? {
-                Some(item) => batch.push(item),
-                None => break,
-            }
-        }
-        Ok(if batch.is_empty() { None } else { Some(batch) })
-    }
-
-    fn order(&self) -> Option<StreamOrder> {
-        self.inner.order()
-    }
-}
-
 /// A [`BatchStream`] over an owned, already-sorted vector, slicing it into
-/// `rows`-row batches without per-row indirection.
+/// `rows`-row batches without per-row indirection (`rows == 0` is treated
+/// as 1).
 pub struct VecBatchStream<T> {
     items: std::vec::IntoIter<T>,
     rows: usize,
@@ -207,18 +167,9 @@ impl<T: Temporal> BatchStream for VecBatchStream<T> {
     }
 }
 
-/// The epoch tick value used when an item's endpoints are needed as plain
-/// integers (mirrors [`TimePoint::ticks`], kept here so batch kernels can
-/// name it without importing `tdb_core::TimePoint`).
-#[inline]
-pub fn ticks(p: TimePoint) -> i64 {
-    p.ticks()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::from_sorted_vec;
     use tdb_core::TsTuple;
 
     fn iv(s: i64, e: i64) -> TsTuple {
@@ -233,17 +184,6 @@ mod tests {
         assert_eq!(b.te_ticks(), &[5, 9]);
         assert_eq!(b.endpoints(1), (2, 9));
         assert_eq!(b.row(0), &iv(0, 5));
-    }
-
-    #[test]
-    fn batcher_chunks_a_row_stream() {
-        let rows: Vec<TsTuple> = (0..10).map(|i| iv(i, i + 1)).collect();
-        let s = from_sorted_vec(rows, tdb_core::StreamOrder::TS_ASC).unwrap();
-        let mut b = Batcher::new(s, 4);
-        assert_eq!(b.order(), Some(tdb_core::StreamOrder::TS_ASC));
-        let sizes: Vec<usize> =
-            std::iter::from_fn(|| b.next_batch().unwrap().map(|x| x.len())).collect();
-        assert_eq!(sizes, vec![4, 4, 2]);
     }
 
     #[test]
@@ -270,8 +210,11 @@ mod tests {
 
     #[test]
     fn zero_rows_is_clamped() {
-        let s = from_sorted_vec(vec![iv(0, 1)], tdb_core::StreamOrder::TS_ASC).unwrap();
-        let mut b = Batcher::new(s, 0);
-        assert_eq!(b.next_batch().unwrap().unwrap().len(), 1);
+        let rows: Vec<TsTuple> = (0..3).map(|i| iv(i, i + 1)).collect();
+        let mut b =
+            VecBatchStream::from_sorted_vec(rows, tdb_core::StreamOrder::TS_ASC, 0).unwrap();
+        let sizes: Vec<usize> =
+            std::iter::from_fn(|| b.next_batch().unwrap().map(|x| x.len())).collect();
+        assert_eq!(sizes, vec![1, 1, 1]);
     }
 }

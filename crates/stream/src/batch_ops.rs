@@ -1,6 +1,7 @@
 //! Batched push-mode sweep kernels over columnar [`RowBatch`]es.
 //!
-//! Each kernel here is the vectorized twin of a row-at-a-time operator:
+//! Each kernel here is the serving implementation of an operator kind
+//! whose row-at-a-time operator is kept as its test oracle:
 //!
 //! | kernel | row operator | workspace |
 //! |---|---|---|
@@ -12,9 +13,10 @@
 //!
 //! The kernels are **push**-driven: the caller feeds batches via
 //! [`BatchOp::process_batch_left`] / `_right` when [`BatchOp::wants`] asks
-//! for that side, and collects output with [`BatchOp::drain`]; [`drive`]
-//! runs that loop over two [`BatchStream`]s. The demand signal makes the
-//! kernels consume input exactly as lazily as the pull operators do, which
+//! for that side, and collects output with [`BatchOp::drain`];
+//! [`drive_each`] runs that loop over two [`BatchStream`]s. The demand
+//! signal makes the kernels consume input exactly as lazily as the pull
+//! operators do, which
 //! is what keeps their [`OpReport`]s — reads, comparisons, emits, and
 //! workspace statistics — **identical** to the row operators' for every
 //! batch size. The hot loops, however, run over the dense endpoint columns
@@ -59,7 +61,7 @@ pub enum Wants {
 /// Protocol: while [`BatchOp::wants`] is not [`Wants::Done`], feed the
 /// requested side one batch via `process_batch_*` or declare it finished
 /// via [`BatchOp::finish`]; collect output with [`BatchOp::drain`] at any
-/// point. [`drive`] implements this loop.
+/// point. [`drive_each`] implements this loop.
 pub trait BatchOp {
     /// Left input row type.
     type LeftItem: Temporal + Clone;
@@ -88,24 +90,11 @@ pub trait BatchOp {
 }
 
 /// Run a [`BatchOp`] to completion over two [`BatchStream`]s, honouring its
-/// demand signal, and return the full output.
-pub fn drive<K, L, R>(op: &mut K, left: &mut L, right: &mut R) -> TdbResult<Vec<K::Out>>
-where
-    K: BatchOp,
-    L: BatchStream<Item = K::LeftItem>,
-    R: BatchStream<Item = K::RightItem>,
-{
-    let mut out = Vec::new();
-    drive_each(op, left, right, &mut out)?;
-    Ok(out)
-}
-
-/// Run a [`BatchOp`] like [`drive`], but hand each drained output chunk to
-/// `emit` ([`Emit::offer`]: a counting consumer gets its length) instead
-/// of accumulating one result vector. `emit` returning `false` stops the
-/// run early (the sink has seen enough); the function then returns
-/// `false` too, so callers can distinguish a completed run from a
-/// truncated one.
+/// demand signal, and hand each drained output chunk to `emit`
+/// ([`Emit::offer`]: a counting consumer gets its length; a `Vec`
+/// collects). `emit` returning `false` stops the run early (the sink has
+/// seen enough); the function then returns `false` too, so callers can
+/// distinguish a completed run from a truncated one.
 pub fn drive_each<K, L, R>(
     op: &mut K,
     left: &mut L,
@@ -1250,10 +1239,12 @@ mod tests {
 
         for rows in [1usize, 7, 64, 1024] {
             let mut op = BatchContainJoinTsTe::new();
-            let got = drive(
+            let mut got = Vec::new();
+            drive_each(
                 &mut op,
                 &mut batched(xs.clone(), StreamOrder::TS_ASC, rows),
                 &mut batched(ys.clone(), StreamOrder::TE_ASC, rows),
+                &mut got,
             )
             .unwrap();
             assert_eq!(got, row_out, "batch size {rows}");
@@ -1280,10 +1271,12 @@ mod tests {
                 let row_out = row.collect_vec().unwrap();
                 for rows in [1usize, 13, 256] {
                     let mut op = BatchOverlapJoin::new(mode, policy);
-                    let got = drive(
+                    let mut got = Vec::new();
+                    drive_each(
                         &mut op,
                         &mut batched(xs.clone(), StreamOrder::TS_ASC, rows),
                         &mut batched(ys.clone(), StreamOrder::TS_ASC, rows),
+                        &mut got,
                     )
                     .unwrap();
                     assert_eq!(got, row_out, "mode {mode:?} policy {policy:?} rows {rows}");
@@ -1309,10 +1302,12 @@ mod tests {
             let row_out = row.collect_vec().unwrap();
             for rows in [1usize, 32, 512] {
                 let mut op = BatchOverlapSemijoin::new(mode, ReadPolicy::MinKey);
-                let got = drive(
+                let mut got = Vec::new();
+                drive_each(
                     &mut op,
                     &mut batched(xs.clone(), StreamOrder::TS_ASC, rows),
                     &mut batched(ys.clone(), StreamOrder::TS_ASC, rows),
+                    &mut got,
                 )
                 .unwrap();
                 assert_eq!(got, row_out, "mode {mode:?} rows {rows}");
@@ -1336,10 +1331,12 @@ mod tests {
         let row_out = row.collect_vec().unwrap();
         for rows in [1usize, 16, 128] {
             let mut op = BatchContainSemijoinStab::new();
-            let got = drive(
+            let mut got = Vec::new();
+            drive_each(
                 &mut op,
                 &mut batched(cx.clone(), StreamOrder::TS_ASC, rows),
                 &mut batched(ey.clone(), StreamOrder::TE_ASC, rows),
+                &mut got,
             )
             .unwrap();
             assert_eq!(got, row_out, "rows {rows}");
@@ -1357,10 +1354,12 @@ mod tests {
         let row_out = row.collect_vec().unwrap();
         for rows in [1usize, 16, 128] {
             let mut op = BatchContainedSemijoinStab::new();
-            let got = drive(
+            let mut got = Vec::new();
+            drive_each(
                 &mut op,
                 &mut batched(cyy.clone(), StreamOrder::TS_ASC, rows),
                 &mut batched(ex.clone(), StreamOrder::TE_ASC, rows),
+                &mut got,
             )
             .unwrap();
             assert_eq!(got, row_out, "rows {rows}");
@@ -1381,10 +1380,12 @@ mod tests {
             .unwrap();
         assert!(row.collect_vec().unwrap().is_empty());
         let mut op = BatchContainJoinTsTe::<TsTuple, TsTuple>::new();
-        let got = drive(
+        let mut got = Vec::new();
+        drive_each(
             &mut op,
             &mut batched(xs, StreamOrder::TS_ASC, 4),
             &mut batched(vec![], StreamOrder::TE_ASC, 4),
+            &mut got,
         )
         .unwrap();
         assert!(got.is_empty());

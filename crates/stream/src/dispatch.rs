@@ -3,35 +3,40 @@
 //! Every call site that runs a stream temporal operator over materialized,
 //! sortable inputs — the query executor, the partitioned-parallel workers,
 //! and the experiment harness — goes through [`run_join_kind_each`] or
-//! [`run_semijoin_kind_each`]. They centralize the `from_sorted_vec` +
-//! [`OpConfig`] constructor sequence and the execution-path decision: when
-//! [`OpConfig::batched`] holds (`batch_rows > 0`) the vectorized kernels of
-//! [`crate::batch_ops`] run over [`VecBatchStream`] columnar batches;
-//! otherwise the row-at-a-time pull operators run. Output goes to an
-//! [`Emit`] consumer chunk by chunk: a closure that keeps every chunk
-//! materializes the result, one that returns `false` stops the producer,
-//! and one that declines items ([`Emit::wants_items`]) receives counts —
-//! the join kernels then run count-only. By the equivalence pinned in
-//! `tests/batch_equivalence.rs` both paths emit the same sequence and the
-//! same [`OpReport`] — only wall-clock differs.
+//! [`run_semijoin_kind_each`]. They centralize the construction sequence:
+//! each supported kind has exactly one serving implementation, the
+//! vectorized kernel of [`crate::batch_ops`], run over
+//! [`VecBatchStream`] columnar batches of [`OpConfig::batch_rows`] rows
+//! (`0` is clamped to 1). Output goes to an [`Emit`] consumer chunk by
+//! chunk: a closure that keeps every chunk materializes the result, one
+//! that returns `false` stops the producer, and one that declines items
+//! ([`Emit::wants_items`]) receives counts — the join kernels then run
+//! count-only.
+//!
+//! The row-at-a-time operators of the same kinds ([`crate::contain_join`],
+//! [`crate::overlap_join`], [`crate::stab_semijoin`]) are the kernels'
+//! oracles: `tests/batch_equivalence.rs` pins that a kernel emits the row
+//! operator's sequence and the same [`OpReport`] at every batch size.
+//! Kinds without a kernel (Before/After, the self semijoins) run as row
+//! operators drained by [`pull_each`].
 //!
 //! Inputs must already be sorted into the orders the operator's registry
-//! entry requires ([`StreamOpKind::requirement`]); both paths re-verify the
-//! claimed order in O(n) and fail with `OrderViolation` otherwise.
+//! entry requires ([`StreamOpKind::requirement`]); the claimed order is
+//! re-verified in O(n) and fails with `OrderViolation` otherwise.
 
 use crate::batch::{VecBatchStream, DEFAULT_BATCH_ROWS};
 use crate::batch_ops::{
     drive_each, BatchContainJoinTsTe, BatchContainSemijoinStab, BatchContainedSemijoinStab,
     BatchOp, BatchOverlapJoin, BatchOverlapSemijoin,
 };
-use crate::report::{Instrumented, OpConfig, OpReport};
+use crate::report::{OpConfig, OpReport};
 use crate::required::StreamOpKind;
 use crate::sink::Emit;
-use crate::stream::{from_sorted_vec, TupleStream};
+use crate::stream::TupleStream;
 use tdb_core::{StreamOrder, TdbError, TdbResult, Temporal};
 
 /// Pull a row operator to completion, handing its output to `emit` in
-/// chunks of [`DEFAULT_BATCH_ROWS`] — the row-path twin of
+/// chunks of [`DEFAULT_BATCH_ROWS`] — the row-operator counterpart of
 /// [`drive_each`]. Returns `false` if `emit` stopped the run early.
 pub fn pull_each<S>(op: &mut S, emit: &mut dyn Emit<S::Item>) -> TdbResult<bool>
 where
@@ -61,13 +66,13 @@ fn drive_batched<K: BatchOp>(
     Ok((completed, op.report()))
 }
 
-/// Run a stream temporal **join** of `kind` over pre-sorted inputs,
-/// selecting the row or batched path per `cfg.batch_rows`, and hand each
+/// Run a stream temporal **join** of `kind` over pre-sorted inputs in
+/// columnar batches of `cfg.batch_rows` rows, and hand each
 /// output chunk to `emit` as the operator drains. The returned flag is
 /// `false` when `emit` stopped the run early; the [`OpReport`] then covers
 /// only the work done up to that point.
 ///
-/// When `emit` declines items, the batched kernels run in count-only mode
+/// When `emit` declines items, the kernel runs in count-only mode
 /// — the probe pass sums hits over the endpoint columns and never clones a
 /// payload — and `emit` receives one [`Emit::push_count`]. Metrics in the
 /// report are identical to the item-producing run's.
@@ -92,7 +97,7 @@ where
 {
     let count_only = !emit.wants_items();
     let (completed, report) = match kind {
-        StreamOpKind::ContainJoinTsTe if cfg.batched() => {
+        StreamOpKind::ContainJoinTsTe => {
             let op = BatchContainJoinTsTe::new();
             drive_batched(
                 if count_only { op.count_only() } else { op },
@@ -101,12 +106,7 @@ where
                 emit,
             )?
         }
-        StreamOpKind::ContainJoinTsTe => {
-            let mut op =
-                cfg.contain_join_ts_te(from_sorted_vec(x, x_order)?, from_sorted_vec(y, y_order)?)?;
-            return Ok((pull_each(&mut op, emit)?, op.report()));
-        }
-        StreamOpKind::OverlapJoin if cfg.batched() => {
+        StreamOpKind::OverlapJoin => {
             let op = BatchOverlapJoin::new(cfg.mode, cfg.policy);
             drive_batched(
                 if count_only { op.count_only() } else { op },
@@ -114,11 +114,6 @@ where
                 VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
                 emit,
             )?
-        }
-        StreamOpKind::OverlapJoin => {
-            let mut op =
-                cfg.overlap_join(from_sorted_vec(x, x_order)?, from_sorted_vec(y, y_order)?)?;
-            return Ok((pull_each(&mut op, emit)?, op.report()));
         }
         other => return Err(TdbError::Plan(format!("no join dispatch for {other}"))),
     };
@@ -129,8 +124,8 @@ where
 }
 
 /// Run a stream temporal **semijoin** of `kind` (left rows kept) over
-/// pre-sorted inputs, selecting the row or batched path per
-/// `cfg.batch_rows`, and hand kept left rows to `emit` in chunks as the
+/// pre-sorted inputs in columnar batches of `cfg.batch_rows` rows, and
+/// hand kept left rows to `emit` in chunks as the
 /// operator drains (counts, if `emit` declines items). The flag is
 /// `false` on early termination.
 ///
@@ -153,45 +148,26 @@ where
     Y: Temporal + Clone,
 {
     match kind {
-        StreamOpKind::ContainSemijoinStab if cfg.batched() => drive_batched(
+        StreamOpKind::ContainSemijoinStab => drive_batched(
             BatchContainSemijoinStab::new(),
             VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
             VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
             emit,
         ),
-        StreamOpKind::ContainSemijoinStab => {
-            let mut op = cfg.contain_semijoin_stab(
-                from_sorted_vec(x, x_order)?,
-                from_sorted_vec(y, y_order)?,
-            )?;
-            Ok((pull_each(&mut op, emit)?, op.report()))
-        }
-        // The batched kernel's left input is the container (Y) side,
-        // mirroring the row operator's read_left accounting.
-        StreamOpKind::ContainedSemijoinStab if cfg.batched() => drive_batched(
+        // The kernel's left input is the container (Y) side, mirroring the
+        // row operator's read_left accounting.
+        StreamOpKind::ContainedSemijoinStab => drive_batched(
             BatchContainedSemijoinStab::new(),
             VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
             VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
             emit,
         ),
-        StreamOpKind::ContainedSemijoinStab => {
-            let mut op = cfg.contained_semijoin_stab(
-                from_sorted_vec(x, x_order)?,
-                from_sorted_vec(y, y_order)?,
-            )?;
-            Ok((pull_each(&mut op, emit)?, op.report()))
-        }
-        StreamOpKind::OverlapSemijoin if cfg.batched() => drive_batched(
+        StreamOpKind::OverlapSemijoin => drive_batched(
             BatchOverlapSemijoin::new(cfg.mode, cfg.policy),
             VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
             VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
             emit,
         ),
-        StreamOpKind::OverlapSemijoin => {
-            let mut op =
-                cfg.overlap_semijoin(from_sorted_vec(x, x_order)?, from_sorted_vec(y, y_order)?)?;
-            Ok((pull_each(&mut op, emit)?, op.report()))
-        }
         other => Err(TdbError::Plan(format!("no semijoin dispatch for {other}"))),
     }
 }
@@ -200,7 +176,9 @@ where
 mod tests {
     use super::*;
     use crate::overlap_join::OverlapMode;
+    use crate::report::Instrumented;
     use crate::sink::Counter;
+    use crate::stream::from_sorted_vec;
     use tdb_core::TsTuple;
 
     fn iv(s: i64, e: i64) -> TsTuple {
@@ -220,6 +198,13 @@ mod tests {
     fn sorted(mut v: Vec<TsTuple>, o: StreamOrder) -> Vec<TsTuple> {
         o.sort(&mut v);
         v
+    }
+
+    /// Drain a row operator — the kernels' oracle — to completion.
+    fn drain<S: TupleStream + Instrumented>(mut op: S) -> (Vec<S::Item>, OpReport) {
+        let mut out = Vec::new();
+        assert!(pull_each(&mut op, &mut out).unwrap());
+        (out, op.report())
     }
 
     type Pairs = Vec<(TsTuple, TsTuple)>;
@@ -245,7 +230,14 @@ mod tests {
         let (xs, ys) = workload(80);
         let xs = sorted(xs, StreamOrder::TS_ASC);
         let ys = sorted(ys, StreamOrder::TE_ASC);
-        let row = contain_join(OpConfig::new().with_batch_rows(0), &xs, &ys);
+        let row = drain(
+            OpConfig::new()
+                .contain_join_ts_te(
+                    from_sorted_vec(xs.clone(), StreamOrder::TS_ASC).unwrap(),
+                    from_sorted_vec(ys.clone(), StreamOrder::TE_ASC).unwrap(),
+                )
+                .unwrap(),
+        );
         for rows in [1usize, 64, 1024] {
             let batched = contain_join(OpConfig::new().with_batch_rows(rows), &xs, &ys);
             assert_eq!(batched, row, "rows {rows}");
@@ -260,7 +252,7 @@ mod tests {
         let xs = sorted(xs, StreamOrder::TS_ASC);
         let ys = sorted(ys, StreamOrder::TE_ASC);
         let (pairs, report) = contain_join(OpConfig::new(), &xs, &ys);
-        for rows in [0usize, 64, 1024] {
+        for rows in [1usize, 64, 1024] {
             let cfg = OpConfig::new().with_batch_rows(rows);
             let mut counter = Counter(0);
             let (completed, creport) = run_join_kind_each(
@@ -345,9 +337,23 @@ mod tests {
             let x = sorted(xs.clone(), xo);
             let y = sorted(ys.clone(), yo);
             let cfg = OpConfig::new().with_mode(mode);
-            let row = semijoin(kind, cfg.with_batch_rows(0), &x, xo, &y, yo);
-            let batched = semijoin(kind, cfg.with_batch_rows(128), &x, xo, &y, yo);
-            assert_eq!(batched, row, "{kind}");
+            let (xr, yr) = (
+                from_sorted_vec(x.clone(), xo).unwrap(),
+                from_sorted_vec(y.clone(), yo).unwrap(),
+            );
+            let row = match kind {
+                StreamOpKind::ContainSemijoinStab => {
+                    drain(cfg.contain_semijoin_stab(xr, yr).unwrap())
+                }
+                StreamOpKind::ContainedSemijoinStab => {
+                    drain(cfg.contained_semijoin_stab(xr, yr).unwrap())
+                }
+                _ => drain(cfg.overlap_semijoin(xr, yr).unwrap()),
+            };
+            for rows in [1usize, 128] {
+                let batched = semijoin(kind, cfg.with_batch_rows(rows), &x, xo, &y, yo);
+                assert_eq!(batched, row, "{kind} rows {rows}");
+            }
         }
     }
 
@@ -358,7 +364,7 @@ mod tests {
         for (kind, xo, yo, mode) in semijoin_cases() {
             let x = sorted(xs.clone(), xo);
             let y = sorted(ys.clone(), yo);
-            for rows in [0usize, 128] {
+            for rows in [1usize, 128] {
                 let cfg = OpConfig::new().with_mode(mode).with_batch_rows(rows);
                 let (kept, report) = semijoin(kind, cfg, &x, xo, &y, yo);
                 let mut counter = Counter(0);

@@ -27,7 +27,6 @@
 //! across `K` disjoint time ranges in parallel.
 
 pub mod aggregate;
-pub mod allen_dispatch;
 pub mod batch;
 pub mod batch_ops;
 pub mod before;
@@ -56,12 +55,9 @@ pub mod watermark;
 pub mod workspace;
 
 pub use aggregate::{GroupedSum, HashSum};
-pub use allen_dispatch::{plan_allen_join, AllenJoinPlan};
-pub use batch::{
-    BatchStream, Batcher, RowBatch, VecBatchStream, DEFAULT_BATCH_ROWS, MAX_BATCH_ROWS,
-};
+pub use batch::{BatchStream, RowBatch, VecBatchStream, DEFAULT_BATCH_ROWS, MAX_BATCH_ROWS};
 pub use batch_ops::{
-    drive, drive_each, BatchContainJoinTsTe, BatchContainSemijoinStab, BatchContainedSemijoinStab,
+    drive_each, BatchContainJoinTsTe, BatchContainSemijoinStab, BatchContainedSemijoinStab,
     BatchOp, BatchOverlapJoin, BatchOverlapSemijoin, Side, Wants,
 };
 pub use before::{BeforeJoin, BeforeSemijoin};
@@ -77,7 +73,7 @@ pub use nested_loop::NestedLoopJoin;
 pub use overlap_join::{OverlapJoin, OverlapMode, OverlapSemijoin};
 pub use partition::{
     merge_tagged_each, parallel_join_each, parallel_semijoin_each, partition_with_fringe,
-    KWayMerge, ParallelPattern, ParallelPush, PartitionSpec, Tagged,
+    ParallelPattern, ParallelPush, PartitionSpec, Tagged,
 };
 pub use progress::{Progress, ProgressSnapshot};
 pub use read_policy::ReadPolicy;

@@ -33,13 +33,11 @@
 //! no time-range decomposition localizes them; the planner keeps those
 //! serial.
 
-use crate::batch::DEFAULT_BATCH_ROWS;
 use crate::dispatch::{run_join_kind_each, run_semijoin_kind_each};
 use crate::overlap_join::OverlapMode;
 use crate::report::{OpConfig, OpReport};
 use crate::required::StreamOpKind;
 use crate::sink::Emit;
-use crate::stream::TupleStream;
 use tdb_core::{Period, StreamOrder, TdbError, TdbResult, Temporal, TimePoint};
 
 /// `K` disjoint, contiguous time ranges covering the data span.
@@ -202,89 +200,6 @@ pub fn merge_tagged_each<T: Clone>(
                 return Ok((false, emitted));
             }
         }
-    }
-}
-
-/// An order-preserving K-way merge of streams that all satisfy `order`:
-/// the output is the sorted interleaving, declared with that order. Ties
-/// break toward the lower-indexed input, making the merge deterministic.
-pub struct KWayMerge<S: TupleStream>
-where
-    S::Item: Temporal + Clone,
-{
-    inputs: Vec<S>,
-    bufs: Vec<Option<S::Item>>,
-    order: StreamOrder,
-    started: bool,
-}
-
-impl<S: TupleStream> KWayMerge<S>
-where
-    S::Item: Temporal + Clone,
-{
-    /// Build the merge; every input must declare an order satisfying
-    /// `order`.
-    pub fn new(inputs: Vec<S>, order: StreamOrder) -> TdbResult<Self> {
-        for (i, input) in inputs.iter().enumerate() {
-            match input.order() {
-                Some(o) if o.satisfies(&order) => {}
-                other => {
-                    return Err(TdbError::UnsupportedOrdering {
-                        operator: "KWayMerge",
-                        detail: format!(
-                            "input {i} declares {:?}, merge requires {order}",
-                            other.map(|o| o.to_string())
-                        ),
-                    })
-                }
-            }
-        }
-        let bufs = (0..inputs.len()).map(|_| None).collect();
-        Ok(KWayMerge {
-            inputs,
-            bufs,
-            order,
-            started: false,
-        })
-    }
-}
-
-impl<S: TupleStream> TupleStream for KWayMerge<S>
-where
-    S::Item: Temporal + Clone,
-{
-    type Item = S::Item;
-
-    fn next(&mut self) -> TdbResult<Option<S::Item>> {
-        if !self.started {
-            self.started = true;
-            for i in 0..self.inputs.len() {
-                self.bufs[i] = self.inputs[i].next()?;
-            }
-        }
-        let mut best: Option<usize> = None;
-        for (i, buf) in self.bufs.iter().enumerate() {
-            let Some(item) = buf else { continue };
-            // Ties break toward the lower-indexed input: replace the
-            // leader only on a strictly greater key.
-            let better = match best.and_then(|b| self.bufs[b].as_ref()) {
-                Some(leader) => self.order.compare(leader, item) == std::cmp::Ordering::Greater,
-                None => true,
-            };
-            if better {
-                best = Some(i);
-            }
-        }
-        let Some(i) = best else {
-            return Ok(None);
-        };
-        let out = self.bufs[i].take();
-        self.bufs[i] = self.inputs[i].next()?;
-        Ok(out)
-    }
-
-    fn order(&self) -> Option<StreamOrder> {
-        Some(self.order)
     }
 }
 
@@ -580,12 +495,7 @@ where
         )?;
         Ok((kept, report))
     })?;
-    let chunk_rows = if cfg.batch_rows > 0 {
-        cfg.batch_rows
-    } else {
-        DEFAULT_BATCH_ROWS
-    };
-    let (completed, emitted) = merge_tagged_each(parts, chunk_rows, emit)?;
+    let (completed, emitted) = merge_tagged_each(parts, cfg.batch_rows, emit)?;
     // Fringe tuples witnessed in several partitions were kept by more than
     // one worker; report what actually reached the consumer (on an early
     // stop, a lower bound on the full result).
@@ -602,7 +512,6 @@ where
 mod tests {
     use super::*;
     use crate::sink::Counter;
-    use crate::stream::from_sorted_vec;
     use std::collections::BTreeSet;
     use tdb_core::TsTuple;
 
@@ -678,19 +587,6 @@ mod tests {
         assert_eq!(parts[1], vec![iv(0, 40), iv(9, 11)]);
         assert_eq!(parts[2], vec![iv(0, 40)]);
         assert_eq!(parts[3], vec![iv(0, 40), iv(35, 40)]);
-    }
-
-    #[test]
-    fn kway_merge_restores_global_order() {
-        let a = from_sorted_vec(vec![iv(0, 5), iv(6, 9)], StreamOrder::TS_ASC).unwrap();
-        let b = from_sorted_vec(vec![iv(1, 2), iv(6, 7)], StreamOrder::TS_ASC).unwrap();
-        let mut m = KWayMerge::new(vec![a, b], StreamOrder::TS_ASC).unwrap();
-        assert_eq!(m.order(), Some(StreamOrder::TS_ASC));
-        let out = m.collect_vec().unwrap();
-        assert_eq!(out, vec![iv(0, 5), iv(1, 2), iv(6, 9), iv(6, 7)]);
-        // Unordered inputs are rejected.
-        let c = crate::stream::from_vec(vec![iv(0, 1)]);
-        assert!(KWayMerge::new(vec![c], StreamOrder::TS_ASC).is_err());
     }
 
     type Pairs = Vec<(TsTuple, TsTuple)>;

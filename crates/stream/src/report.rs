@@ -117,10 +117,9 @@ pub struct OpConfig {
     pub policy: ReadPolicy,
     /// Which overlap predicate the overlap operators evaluate.
     pub mode: OverlapMode,
-    /// Rows per columnar batch on the vectorized execution path
-    /// ([`crate::batch_ops`]); `0` selects the row-at-a-time operators.
-    /// Only consulted by [`crate::allen_dispatch`]-level drivers that
-    /// support both paths — the row constructors below ignore it.
+    /// Rows per columnar batch fed to the [`crate::batch_ops`] kernels by
+    /// [`crate::dispatch`] and the [`crate::partition`] drivers (`0` is
+    /// clamped to 1). The row constructors below ignore it.
     pub batch_rows: usize,
 }
 
@@ -136,7 +135,7 @@ impl Default for OpConfig {
 
 impl OpConfig {
     /// The default configuration: `MinKey` policy, general overlap,
-    /// batched execution at [`crate::batch::DEFAULT_BATCH_ROWS`].
+    /// [`crate::batch::DEFAULT_BATCH_ROWS`] rows per batch.
     pub fn new() -> OpConfig {
         OpConfig::default()
     }
@@ -153,15 +152,10 @@ impl OpConfig {
         self
     }
 
-    /// Set the batch size for the vectorized path (`0` = row-at-a-time).
+    /// Set the rows per columnar batch (`0` is clamped to 1).
     pub fn with_batch_rows(mut self, batch_rows: usize) -> OpConfig {
         self.batch_rows = batch_rows;
         self
-    }
-
-    /// Does this configuration select the batched execution path?
-    pub fn batched(&self) -> bool {
-        self.batch_rows > 0
     }
 
     /// Contain-join under `(ValidFrom ↑, ValidFrom ↑)` — Table 1 state (a).

@@ -94,9 +94,9 @@ pub mod prelude {
         partition_with_fringe, BeforeJoin, BeforeSemijoin, BufferedJoin, CollectSink,
         ContainJoinTsTe, ContainJoinTsTs, ContainSelfSemijoin, ContainSemijoinStab,
         ContainedSelfSemijoin, ContainedSemijoinStab, CountSink, EventMergeJoin, GroupedSum,
-        Instrumented, KWayMerge, LimitSink, MergeEquiJoin, NestedLoopJoin, OpConfig, OpReport,
-        OverlapJoin, OverlapMode, OverlapSemijoin, ParallelPattern, PartitionSpec, ReadPolicy,
-        RowSink, SinkStats, SweepSemijoin, Tagged, TupleStream, Workspace, WorkspaceStats,
+        Instrumented, LimitSink, MergeEquiJoin, NestedLoopJoin, OpConfig, OpReport, OverlapJoin,
+        OverlapMode, OverlapSemijoin, ParallelPattern, PartitionSpec, ReadPolicy, RowSink,
+        SinkStats, SweepSemijoin, Tagged, TupleStream, Workspace, WorkspaceStats,
         DEFAULT_BATCH_ROWS, MAX_BATCH_ROWS,
     };
     pub use tdb_wal::{FlushPolicy, WalMetrics, WalRecord, WalStore};

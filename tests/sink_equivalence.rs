@@ -84,7 +84,7 @@ fn plan_for(logical: &LogicalPlan, batch_rows: usize, parallelism: usize) -> Phy
     plan(&optimized, config).unwrap()
 }
 
-const BATCHES: [usize; 3] = [0, 64, 1024];
+const BATCHES: [usize; 3] = [1, 64, 1024];
 const PARALLELISM: [usize; 2] = [1, 4];
 
 proptest! {

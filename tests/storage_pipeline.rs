@@ -215,39 +215,3 @@ fn bitemporal_rollback_feeds_temporal_operators() {
     // The log never shrinks.
     assert_eq!(table.log().len(), 5);
 }
-
-#[test]
-fn interval_index_accelerates_timeslice_over_catalog() {
-    use tdb::storage::IntervalIndex;
-    let dir = tmp("index");
-    let catalog = tdb::faculty_catalog(
-        &dir,
-        &FacultyGen {
-            n_faculty: 300,
-            seed: 77,
-            continuous_employment: true,
-            ..FacultyGen::default()
-        }
-        .generate(),
-    )
-    .unwrap();
-    let rows = catalog.scan("Faculty").unwrap();
-    let meta = catalog.meta("Faculty").unwrap();
-    let index = IntervalIndex::build(
-        rows.iter()
-            .enumerate()
-            .map(|(i, r)| (meta.schema.period_of(r).unwrap(), i as u64)),
-    );
-    // Probe several instants; index result = scan result.
-    for t in [0i64, 50, 200, 500] {
-        let at = TimePoint(t);
-        let via_index: std::collections::BTreeSet<u64> = index.stab(at).into_iter().collect();
-        let via_scan: std::collections::BTreeSet<u64> = rows
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| meta.schema.period_of(r).unwrap().spans(at))
-            .map(|(i, _)| i as u64)
-            .collect();
-        assert_eq!(via_index, via_scan, "at t={t}");
-    }
-}
