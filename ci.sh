@@ -101,8 +101,10 @@ timeout 60 cargo run --release -p tdb-bench --features check --bin experiments -
 # Bounded sink bench (E21): the E19 40k/side Contain-join re-measured
 # through the push dispatch — streamed and count-only totals equal the
 # collected output's length, workspace peaks stay under the static
-# cap (cap_exceeded must be 0), and the count-path speedup over
-# materialization is asserted ≥ 1.8×. Hard-capped at 60.
+# cap (cap_exceeded must be 0), a consumer that declines the first chunk
+# is offered at most one chunk (DEFAULT_BATCH_ROWS pairs), and the
+# count-path speedup over materialization is asserted ≥ 1.8×.
+# Hard-capped at 60.
 echo "==> streaming sink bench (E21, bounded)"
 timeout 60 cargo run --release -p tdb-bench --features check --bin experiments -- sink
 

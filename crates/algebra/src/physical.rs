@@ -42,8 +42,8 @@ pub struct ExecOptions<'a> {
     /// Collect per-operator [`OpObservation`]s (disable for the
     /// instrumentation-overhead baseline).
     pub collect_trace: bool,
-    /// Rows per columnar batch fed to the stream operators' vectorized
-    /// kernels (`0` is clamped to 1).
+    /// Rows per output chunk the stream operators hand to the sink side
+    /// (`0` is clamped to 1).
     pub batch_rows: usize,
     /// Push-mode output sink. When set, result rows are pushed into it as
     /// operators drain — chunk by chunk, honoring its early-termination
@@ -85,7 +85,7 @@ impl<'a> ExecOptions<'a> {
         self
     }
 
-    /// Set the rows per columnar batch.
+    /// Set the rows per output chunk of the stream operators.
     pub fn with_batch_rows(mut self, batch_rows: usize) -> ExecOptions<'a> {
         self.batch_rows = batch_rows;
         self
@@ -1055,7 +1055,7 @@ fn stream_join(
                 // state, so it runs over the inputs as they come.
                 None => {
                     let mut op = cfg.before_join(from_vec(x), from_vec(y))?;
-                    pull_each(&mut op, emit)?;
+                    pull_each(&mut op, cfg.batch_rows, emit)?;
                     op.report()
                 }
             };
@@ -1107,7 +1107,7 @@ fn stream_semijoin(
         }
         None if pattern == TemporalPattern::Before => {
             let mut op = cfg.before_semijoin(from_vec(l), from_vec(r))?;
-            pull_each(&mut op, emit)?;
+            pull_each(&mut op, cfg.batch_rows, emit)?;
             (1, op.report())
         }
         None => {
@@ -1128,7 +1128,7 @@ fn stream_semijoin(
                 },
                 WorkspaceStats::of_resident(1),
             );
-            pull_each(&mut from_vec(kept), emit)?;
+            pull_each(&mut from_vec(kept), cfg.batch_rows, emit)?;
             (1, report)
         }
     };

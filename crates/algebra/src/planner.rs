@@ -38,9 +38,10 @@ pub struct PlannerConfig {
     /// [`PhysicalPlan::Parallel`] driver that runs `K` operator instances
     /// over disjoint time ranges with fringe replication.
     pub parallelism: usize,
-    /// Rows per columnar batch fed to the stream temporal operators'
-    /// vectorized kernels (`0` is clamped to 1). Output and workspace
-    /// statistics do not depend on it (`tests/batch_equivalence.rs`).
+    /// Rows per output chunk the stream temporal operators hand
+    /// downstream (`0` is clamped to 1): a `\set limit` sink can stop a
+    /// join after one chunk. Output and workspace statistics do not depend
+    /// on it (`tests/batch_equivalence.rs`).
     pub batch_rows: usize,
 }
 
@@ -82,7 +83,7 @@ impl PlannerConfig {
         self
     }
 
-    /// Set the rows per columnar batch for stream operators.
+    /// Set the rows per output chunk of the stream operators.
     pub fn with_batch_rows(mut self, rows: usize) -> PlannerConfig {
         self.batch_rows = rows;
         self

@@ -1906,4 +1906,14 @@ mod tests {
             assert_eq!(back, resp, "round-trip failed for `{input}`");
         }
     }
+
+    #[test]
+    fn unassigned_error_code_decodes_as_corrupt() {
+        let mut bytes = ErrorInfo::new(ErrorCode::Eval, "x").to_bytes().to_vec();
+        bytes[0] = 12;
+        assert!(matches!(
+            ErrorInfo::from_bytes(&bytes),
+            Err(TdbError::Corrupt(_))
+        ));
+    }
 }

@@ -499,8 +499,8 @@ pub enum ErrorCode {
     Eval = 10,
     /// Integrity-constraint violation.
     ConstraintViolation = 11,
-    /// Buffer pool exhausted.
-    BufferExhausted = 12,
+    // 12 is unassigned and decodes as corrupt. Keep it unused so a byte 12
+    // from an older peer is never read as some newer code.
     /// Wire-protocol violation (bad frame, unsupported version).
     Protocol = 13,
     /// The server is shutting down or dropped the session.
@@ -529,7 +529,6 @@ impl ErrorCode {
             9 => ErrorCode::Plan,
             10 => ErrorCode::Eval,
             11 => ErrorCode::ConstraintViolation,
-            12 => ErrorCode::BufferExhausted,
             13 => ErrorCode::Protocol,
             14 => ErrorCode::Unavailable,
             15 => ErrorCode::Config,
@@ -572,7 +571,6 @@ impl From<&TdbError> for ErrorInfo {
             TdbError::Plan(_) => ErrorCode::Plan,
             TdbError::Eval(_) => ErrorCode::Eval,
             TdbError::ConstraintViolation(_) => ErrorCode::ConstraintViolation,
-            TdbError::BufferExhausted { .. } => ErrorCode::BufferExhausted,
             TdbError::Config(_) => ErrorCode::Config,
             TdbError::WalCorrupt { .. } => ErrorCode::WalCorrupt,
         };

@@ -1,5 +1,4 @@
-//! Columnar row batches — the unit of work of the vectorized execution
-//! path.
+//! Columnar row batches — the input layout of the sweep kernels.
 //!
 //! Piatov et al. (PAPERS.md, cache-efficient sweeping) observe that
 //! row-at-a-time pull loops leave sweep operators memory-bound: every
@@ -10,18 +9,19 @@
 //! dense `i64` arrays that stay cache-resident while the sweep runs, and
 //! payloads are only touched when a tuple actually matches.
 //!
-//! [`BatchStream`] is the pull surface (batches instead of rows);
-//! [`VecBatchStream`] slices a sorted vector into batches. The push
-//! surface — `process_batch` — lives in [`crate::batch_ops`].
+//! Each kernel of [`crate::batch_ops`] takes one whole, sorted input per
+//! side as a `RowBatch` ([`RowBatch::from_sorted`]) and consumes it in one
+//! loop, dropping each payload once the sweep is past it.
 
 use tdb_core::{StreamOrder, TdbError, TdbResult, Temporal};
 
-/// Default number of rows per columnar batch. 1024 rows × two `i64`
-/// endpoint columns = 16 KiB of sweep keys — half a typical L1d cache,
-/// leaving room for the gapless workspace columns.
+/// Default number of items per output chunk a producer hands to its
+/// consumer ([`crate::Emit`]). 1024 pairs bound what a limit-style
+/// consumer receives before it can stop the producer, while keeping the
+/// per-chunk call and allocation cost negligible next to the sweep.
 pub const DEFAULT_BATCH_ROWS: usize = 1024;
 
-/// Upper bound accepted for a configured batch size (engine `\set batch`).
+/// Upper bound accepted for a configured chunk size (engine `\set batch`).
 pub const MAX_BATCH_ROWS: usize = 1 << 20;
 
 /// A columnar batch of temporal rows: the `ValidFrom` (TS) and `ValidTo`
@@ -29,141 +29,30 @@ pub const MAX_BATCH_ROWS: usize = 1 << 20;
 /// payloads in matching positions.
 ///
 /// The endpoint columns are *the* data the sweep loops of
-/// [`crate::batch_ops`] iterate; payloads are cloned only on a match.
+/// [`crate::batch_ops`] iterate; payloads are touched only on a match.
 #[derive(Debug, Clone, Default)]
 pub struct RowBatch<T> {
-    ts: Vec<i64>,
-    te: Vec<i64>,
-    payload: Vec<T>,
-}
-
-impl<T> RowBatch<T> {
-    /// An empty batch with room for `rows` rows.
-    pub fn with_capacity(rows: usize) -> RowBatch<T> {
-        RowBatch {
-            ts: Vec::with_capacity(rows),
-            te: Vec::with_capacity(rows),
-            payload: Vec::with_capacity(rows),
-        }
-    }
-
-    /// Number of rows in the batch.
-    pub fn len(&self) -> usize {
-        self.payload.len()
-    }
-
-    /// Is the batch empty?
-    pub fn is_empty(&self) -> bool {
-        self.payload.is_empty()
-    }
-
-    /// The `ValidFrom` column, in ticks.
-    pub fn ts_ticks(&self) -> &[i64] {
-        &self.ts
-    }
-
-    /// The `ValidTo` column, in ticks.
-    pub fn te_ticks(&self) -> &[i64] {
-        &self.te
-    }
-
-    /// The payload column.
-    pub fn payload(&self) -> &[T] {
-        &self.payload
-    }
-
-    /// Endpoints of row `i` as `(ts, te)` ticks.
-    #[inline]
-    pub fn endpoints(&self, i: usize) -> (i64, i64) {
-        (self.ts[i], self.te[i])
-    }
-
-    /// Payload of row `i`.
-    #[inline]
-    pub fn row(&self, i: usize) -> &T {
-        &self.payload[i]
-    }
+    pub(crate) ts: Vec<i64>,
+    pub(crate) te: Vec<i64>,
+    pub(crate) payload: Vec<T>,
 }
 
 impl<T: Temporal> RowBatch<T> {
-    /// Append a row, splitting its endpoints into the columns.
-    pub fn push(&mut self, item: T) {
-        self.ts.push(item.ts().ticks());
-        self.te.push(item.te().ticks());
-        self.payload.push(item);
-    }
-
-    /// Build a single batch holding all of `items`.
-    pub fn from_rows(items: Vec<T>) -> RowBatch<T> {
-        let mut b = RowBatch::with_capacity(items.len());
-        for item in items {
-            b.push(item);
-        }
-        b
-    }
-}
-
-/// A fallible, ordered stream of columnar batches — the batch counterpart
-/// of [`crate::TupleStream`].
-pub trait BatchStream {
-    /// Row payload type.
-    type Item;
-
-    /// Pull the next batch, `Ok(None)` at end of stream. Batches are
-    /// non-empty.
-    fn next_batch(&mut self) -> TdbResult<Option<RowBatch<Self::Item>>>;
-
-    /// The ordering the concatenated rows satisfy, if any.
-    fn order(&self) -> Option<StreamOrder>;
-}
-
-/// A [`BatchStream`] over an owned, already-sorted vector, slicing it into
-/// `rows`-row batches without per-row indirection (`rows == 0` is treated
-/// as 1).
-pub struct VecBatchStream<T> {
-    items: std::vec::IntoIter<T>,
-    rows: usize,
-    order: Option<StreamOrder>,
-}
-
-impl<T: Temporal> VecBatchStream<T> {
-    /// Wrap `items`, verifying the claimed `order` up front (like
-    /// [`crate::stream::from_sorted_vec`]).
-    pub fn from_sorted_vec(
-        items: Vec<T>,
-        order: StreamOrder,
-        rows: usize,
-    ) -> TdbResult<VecBatchStream<T>> {
+    /// Take ownership of `items`, verifying the claimed `order` in O(n)
+    /// (like [`crate::stream::from_sorted_vec`]), and lay their endpoints
+    /// out as the two columns beside the moved payload vector.
+    pub fn from_sorted(items: Vec<T>, order: StreamOrder) -> TdbResult<RowBatch<T>> {
         if let Some(i) = order.first_violation(&items) {
             return Err(TdbError::OrderViolation {
-                context: "VecBatchStream",
+                context: "RowBatch",
                 detail: format!("claimed {order} violated at index {i}"),
             });
         }
-        Ok(VecBatchStream {
-            items: items.into_iter(),
-            rows: rows.max(1),
-            order: Some(order),
+        Ok(RowBatch {
+            ts: items.iter().map(|t| t.ts().ticks()).collect(),
+            te: items.iter().map(|t| t.te().ticks()).collect(),
+            payload: items,
         })
-    }
-}
-
-impl<T: Temporal> BatchStream for VecBatchStream<T> {
-    type Item = T;
-
-    fn next_batch(&mut self) -> TdbResult<Option<RowBatch<T>>> {
-        let mut batch = RowBatch::with_capacity(self.rows);
-        while batch.len() < self.rows {
-            match self.items.next() {
-                Some(item) => batch.push(item),
-                None => break,
-            }
-        }
-        Ok(if batch.is_empty() { None } else { Some(batch) })
-    }
-
-    fn order(&self) -> Option<StreamOrder> {
-        self.order
     }
 }
 
@@ -178,43 +67,18 @@ mod tests {
 
     #[test]
     fn batch_splits_columns() {
-        let b = RowBatch::from_rows(vec![iv(0, 5), iv(2, 9)]);
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.ts_ticks(), &[0, 2]);
-        assert_eq!(b.te_ticks(), &[5, 9]);
-        assert_eq!(b.endpoints(1), (2, 9));
-        assert_eq!(b.row(0), &iv(0, 5));
+        let b = RowBatch::from_sorted(vec![iv(0, 5), iv(2, 9)], StreamOrder::TS_ASC).unwrap();
+        assert_eq!(b.ts, [0, 2]);
+        assert_eq!(b.te, [5, 9]);
+        assert_eq!(b.payload, [iv(0, 5), iv(2, 9)]);
     }
 
     #[test]
-    fn vec_batch_stream_validates_order() {
-        let bad = VecBatchStream::from_sorted_vec(
-            vec![iv(5, 9), iv(0, 1)],
-            tdb_core::StreamOrder::TS_ASC,
-            8,
-        );
+    fn from_sorted_validates_order() {
+        let bad = RowBatch::from_sorted(vec![iv(5, 9), iv(0, 1)], StreamOrder::TS_ASC);
         assert!(matches!(bad, Err(TdbError::OrderViolation { .. })));
-        let mut ok = VecBatchStream::from_sorted_vec(
-            vec![iv(0, 1), iv(5, 9)],
-            tdb_core::StreamOrder::TS_ASC,
-            1,
-        )
-        .unwrap();
-        let mut n = 0;
-        while let Some(batch) = ok.next_batch().unwrap() {
-            n += batch.len();
-            assert_eq!(batch.len(), 1);
-        }
-        assert_eq!(n, 2);
-    }
-
-    #[test]
-    fn zero_rows_is_clamped() {
-        let rows: Vec<TsTuple> = (0..3).map(|i| iv(i, i + 1)).collect();
-        let mut b =
-            VecBatchStream::from_sorted_vec(rows, tdb_core::StreamOrder::TS_ASC, 0).unwrap();
-        let sizes: Vec<usize> =
-            std::iter::from_fn(|| b.next_batch().unwrap().map(|x| x.len())).collect();
-        assert_eq!(sizes, vec![1, 1, 1]);
+        let ok = RowBatch::from_sorted(vec![iv(0, 1), iv(5, 9)], StreamOrder::TS_ASC).unwrap();
+        assert_eq!(ok.payload.len(), 2);
+        assert!(RowBatch::<TsTuple>::from_sorted(vec![], StreamOrder::TE_ASC).is_ok());
     }
 }

@@ -5,12 +5,12 @@
 //! and the experiment harness — goes through [`run_join_kind_each`] or
 //! [`run_semijoin_kind_each`]. They centralize the construction sequence:
 //! each supported kind has exactly one serving implementation, the
-//! vectorized kernel of [`crate::batch_ops`], run over
-//! [`VecBatchStream`] columnar batches of [`OpConfig::batch_rows`] rows
-//! (`0` is clamped to 1). Output goes to an [`Emit`] consumer chunk by
-//! chunk: a closure that keeps every chunk materializes the result, one
-//! that returns `false` stops the producer, and one that declines items
-//! ([`Emit::wants_items`]) receives counts — the join kernels then run
+//! columnar kernel of [`crate::batch_ops`], which sweeps both inputs whole
+//! as [`RowBatch`]es. Output goes to an [`Emit`] consumer in chunks of at
+//! most [`OpConfig::batch_rows`] items (`0` is clamped to 1): a closure
+//! that keeps every chunk materializes the result, one that returns
+//! `false` stops the producer, and one that declines items
+//! ([`Emit::wants_items`]) receives one count — the join kernels then run
 //! count-only.
 //!
 //! The row-at-a-time operators of the same kinds ([`crate::contain_join`],
@@ -18,59 +18,43 @@
 //! oracles: `tests/batch_equivalence.rs` pins that a kernel emits the row
 //! operator's sequence and the same [`OpReport`] at every batch size.
 //! Kinds without a kernel (Before/After, the self semijoins) run as row
-//! operators drained by [`pull_each`].
+//! operators drained by [`pull_each`] under the same chunk contract.
 //!
 //! Inputs must already be sorted into the orders the operator's registry
 //! entry requires ([`StreamOpKind::requirement`]); the claimed order is
 //! re-verified in O(n) and fails with `OrderViolation` otherwise.
 
-use crate::batch::{VecBatchStream, DEFAULT_BATCH_ROWS};
+use crate::batch::RowBatch;
 use crate::batch_ops::{
-    drive_each, BatchContainJoinTsTe, BatchContainSemijoinStab, BatchContainedSemijoinStab,
-    BatchOp, BatchOverlapJoin, BatchOverlapSemijoin,
+    contain_join_ts_te, overlap_join, overlap_semijoin, stab_semijoin, StabSide,
 };
 use crate::report::{OpConfig, OpReport};
 use crate::required::StreamOpKind;
-use crate::sink::Emit;
+use crate::sink::{Chunker, Emit};
 use crate::stream::TupleStream;
 use tdb_core::{StreamOrder, TdbError, TdbResult, Temporal};
 
 /// Pull a row operator to completion, handing its output to `emit` in
-/// chunks of [`DEFAULT_BATCH_ROWS`] — the row-operator counterpart of
-/// [`drive_each`]. Returns `false` if `emit` stopped the run early.
-pub fn pull_each<S>(op: &mut S, emit: &mut dyn Emit<S::Item>) -> TdbResult<bool>
+/// chunks of at most `rows` items (a counting consumer gets the total).
+/// Returns `false` if `emit` stopped the run early.
+pub fn pull_each<S>(op: &mut S, rows: usize, emit: &mut dyn Emit<S::Item>) -> TdbResult<bool>
 where
     S: TupleStream,
 {
-    let mut chunk = Vec::new();
+    let mut out = Chunker::new(emit, rows);
     while let Some(item) = op.next()? {
-        chunk.push(item);
-        if chunk.len() >= DEFAULT_BATCH_ROWS && !emit.offer(std::mem::take(&mut chunk))? {
+        if !out.push(item)? {
             return Ok(false);
         }
     }
-    if !chunk.is_empty() && !emit.offer(chunk)? {
-        return Ok(false);
-    }
-    Ok(true)
+    out.finish()
 }
 
-/// Drive a batched kernel over two columnar streams into `emit`.
-fn drive_batched<K: BatchOp>(
-    mut op: K,
-    mut left: VecBatchStream<K::LeftItem>,
-    mut right: VecBatchStream<K::RightItem>,
-    emit: &mut dyn Emit<K::Out>,
-) -> TdbResult<(bool, OpReport)> {
-    let completed = drive_each(&mut op, &mut left, &mut right, emit)?;
-    Ok((completed, op.report()))
-}
-
-/// Run a stream temporal **join** of `kind` over pre-sorted inputs in
-/// columnar batches of `cfg.batch_rows` rows, and hand each
-/// output chunk to `emit` as the operator drains. The returned flag is
-/// `false` when `emit` stopped the run early; the [`OpReport`] then covers
-/// only the work done up to that point.
+/// Run a stream temporal **join** of `kind` over pre-sorted inputs and
+/// hand the matched pairs to `emit` in chunks of at most
+/// `cfg.batch_rows`. The returned flag is `false` when `emit` stopped the
+/// run early; the [`OpReport`] then covers only the work done up to that
+/// point.
 ///
 /// When `emit` declines items, the kernel runs in count-only mode
 /// — the probe pass sums hits over the endpoint columns and never clones a
@@ -95,39 +79,20 @@ where
     X: Temporal + Clone,
     Y: Temporal + Clone,
 {
-    let count_only = !emit.wants_items();
-    let (completed, report) = match kind {
-        StreamOpKind::ContainJoinTsTe => {
-            let op = BatchContainJoinTsTe::new();
-            drive_batched(
-                if count_only { op.count_only() } else { op },
-                VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-                VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-                emit,
-            )?
-        }
-        StreamOpKind::OverlapJoin => {
-            let op = BatchOverlapJoin::new(cfg.mode, cfg.policy);
-            drive_batched(
-                if count_only { op.count_only() } else { op },
-                VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-                VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-                emit,
-            )?
-        }
+    let kernel = match kind {
+        StreamOpKind::ContainJoinTsTe => contain_join_ts_te,
+        StreamOpKind::OverlapJoin => overlap_join,
         other => return Err(TdbError::Plan(format!("no join dispatch for {other}"))),
     };
-    if count_only {
-        return Ok((emit.push_count(report.metrics.emitted)?, report));
-    }
-    Ok((completed, report))
+    let x = RowBatch::from_sorted(x, x_order)?;
+    let y = RowBatch::from_sorted(y, y_order)?;
+    kernel(x, y, cfg, emit)
 }
 
 /// Run a stream temporal **semijoin** of `kind` (left rows kept) over
-/// pre-sorted inputs in columnar batches of `cfg.batch_rows` rows, and
-/// hand kept left rows to `emit` in chunks as the
-/// operator drains (counts, if `emit` declines items). The flag is
-/// `false` on early termination.
+/// pre-sorted inputs and hand the kept left rows to `emit` in chunks of at
+/// most `cfg.batch_rows` (one count, if `emit` declines items). The flag
+/// is `false` on early termination.
 ///
 /// Supported kinds: [`StreamOpKind::ContainSemijoinStab`],
 /// [`StreamOpKind::ContainedSemijoinStab`] (X sorted `ValidTo ↑`, Y — the
@@ -147,28 +112,17 @@ where
     X: Temporal + Clone,
     Y: Temporal + Clone,
 {
-    match kind {
-        StreamOpKind::ContainSemijoinStab => drive_batched(
-            BatchContainSemijoinStab::new(),
-            VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-            VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-            emit,
-        ),
-        // The kernel's left input is the container (Y) side, mirroring the
-        // row operator's read_left accounting.
-        StreamOpKind::ContainedSemijoinStab => drive_batched(
-            BatchContainedSemijoinStab::new(),
-            VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-            VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-            emit,
-        ),
-        StreamOpKind::OverlapSemijoin => drive_batched(
-            BatchOverlapSemijoin::new(cfg.mode, cfg.policy),
-            VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-            VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-            emit,
-        ),
-        other => Err(TdbError::Plan(format!("no semijoin dispatch for {other}"))),
+    let kept = match kind {
+        StreamOpKind::ContainSemijoinStab => Some(StabSide::Container),
+        StreamOpKind::ContainedSemijoinStab => Some(StabSide::Containee),
+        StreamOpKind::OverlapSemijoin => None,
+        other => return Err(TdbError::Plan(format!("no semijoin dispatch for {other}"))),
+    };
+    let x = RowBatch::from_sorted(x, x_order)?;
+    let y = RowBatch::from_sorted(y, y_order)?;
+    match kept {
+        Some(kept) => stab_semijoin(x, y, kept, cfg, emit),
+        None => overlap_semijoin(x, y, cfg, emit),
     }
 }
 
@@ -179,6 +133,7 @@ mod tests {
     use crate::report::Instrumented;
     use crate::sink::Counter;
     use crate::stream::from_sorted_vec;
+    use crate::DEFAULT_BATCH_ROWS;
     use tdb_core::TsTuple;
 
     fn iv(s: i64, e: i64) -> TsTuple {
@@ -203,7 +158,7 @@ mod tests {
     /// Drain a row operator — the kernels' oracle — to completion.
     fn drain<S: TupleStream + Instrumented>(mut op: S) -> (Vec<S::Item>, OpReport) {
         let mut out = Vec::new();
-        assert!(pull_each(&mut op, &mut out).unwrap());
+        assert!(pull_each(&mut op, DEFAULT_BATCH_ROWS, &mut out).unwrap());
         (out, op.report())
     }
 
@@ -285,7 +240,7 @@ mod tests {
             .unwrap();
             assert!(!completed);
             assert!(
-                seen < pairs.len(),
+                seen <= rows.min(8),
                 "stopped after {seen} of {}",
                 pairs.len()
             );

@@ -55,11 +55,7 @@ pub mod watermark;
 pub mod workspace;
 
 pub use aggregate::{GroupedSum, HashSum};
-pub use batch::{BatchStream, RowBatch, VecBatchStream, DEFAULT_BATCH_ROWS, MAX_BATCH_ROWS};
-pub use batch_ops::{
-    drive_each, BatchContainJoinTsTe, BatchContainSemijoinStab, BatchContainedSemijoinStab,
-    BatchOp, BatchOverlapJoin, BatchOverlapSemijoin, Side, Wants,
-};
+pub use batch::{RowBatch, DEFAULT_BATCH_ROWS, MAX_BATCH_ROWS};
 pub use before::{BeforeJoin, BeforeSemijoin};
 pub use buffered_join::BufferedJoin;
 pub use coalesce::{coalesce_relation, Coalesce};

@@ -37,7 +37,7 @@ use crate::dispatch::{run_join_kind_each, run_semijoin_kind_each};
 use crate::overlap_join::OverlapMode;
 use crate::report::{OpConfig, OpReport};
 use crate::required::StreamOpKind;
-use crate::sink::Emit;
+use crate::sink::{Chunker, Emit};
 use tdb_core::{Period, StreamOrder, TdbError, TdbResult, Temporal, TimePoint};
 
 /// `K` disjoint, contiguous time ranges covering the data span.
@@ -150,24 +150,22 @@ pub fn tag<T>(items: Vec<T>) -> Vec<Tagged<T>> {
 /// are positions in the sorted input and semijoin outputs are subsequences
 /// of their input, the merged output re-emits the declared input order.
 ///
-/// The output goes to `emit` ([`Emit::offer`]) in chunks of at most
-/// `chunk_rows` rows. Returns `(completed, emitted)` — `completed` is
-/// `false` when `emit` asked the merge to stop early, `emitted` counts the
-/// rows actually handed over.
+/// The output goes to `emit` in chunks of at most `chunk_rows` rows.
+/// Returns `(completed, emitted)` — `completed` is `false` when `emit`
+/// asked the merge to stop early, `emitted` counts the rows actually
+/// handed over.
 pub fn merge_tagged_each<T: Clone>(
     mut parts: Vec<Vec<Tagged<T>>>,
     chunk_rows: usize,
     emit: &mut dyn Emit<T>,
 ) -> TdbResult<(bool, usize)> {
-    let chunk_rows = chunk_rows.max(1);
     // The strict overlap semijoin can reorder around its pending queue, so
     // normalize each list before the merge.
     for part in &mut parts {
         part.sort_by_key(|t| t.ordinal);
     }
     let mut cursors = vec![0usize; parts.len()];
-    let mut chunk = Vec::new();
-    let mut emitted = 0usize;
+    let mut out = Chunker::new(emit, chunk_rows);
     let mut last: Option<usize> = None;
     loop {
         let mut best: Option<(usize, usize)> = None; // (ordinal, partition)
@@ -183,23 +181,13 @@ pub fn merge_tagged_each<T: Clone>(
             }
         }
         let Some((ordinal, i)) = best else {
-            if !chunk.is_empty() {
-                emitted += chunk.len();
-                if !emit.offer(chunk)? {
-                    return Ok((false, emitted));
-                }
-            }
-            return Ok((true, emitted));
+            return Ok((out.finish()?, out.emitted));
         };
-        chunk.push(parts[i][cursors[i]].item.clone());
+        if !out.push(parts[i][cursors[i]].item.clone())? {
+            return Ok((false, out.emitted));
+        }
         cursors[i] += 1;
         last = Some(ordinal);
-        if chunk.len() >= chunk_rows {
-            emitted += chunk.len();
-            if !emit.offer(std::mem::take(&mut chunk))? {
-                return Ok((false, emitted));
-            }
-        }
     }
 }
 
@@ -357,10 +345,10 @@ where
     Ok((items, reports, total))
 }
 
-/// Run a temporal join partitioned over `k` time ranges, handing each
-/// partition's owner-deduplicated pairs (in partition order) to `emit`.
-/// A `false` return from `emit` stops the run; remaining partitions'
-/// outputs are dropped.
+/// Run a temporal join partitioned over `k` time ranges, handing the
+/// partitions' owner-deduplicated pairs (in partition order) to `emit` in
+/// chunks of at most `cfg.batch_rows`. A `false` return from `emit` stops
+/// the delivery; the pairs not yet offered are dropped.
 ///
 /// Inputs need not be pre-sorted; each is sorted once into the order its
 /// serial operator requires, partitioned with fringe replication, and the
@@ -401,10 +389,9 @@ where
 
     let spec = &spec;
     let (parts, per_partition, mut report) = run_workers(xparts, yparts, |i, xp, yp| {
-        // Each worker runs the serial operator through the push dispatch
-        // — row or batched per `cfg` — keeping only the pairs its
-        // partition owns: those whose intersection starts inside its
-        // range.
+        // Each worker runs the serial kernel through the push dispatch,
+        // keeping only the pairs its partition owns: those whose
+        // intersection starts inside its range.
         let mut owned = Vec::new();
         let (_, report) = run_join_kind_each(
             pattern.join_kind(),
@@ -424,26 +411,18 @@ where
         )?;
         Ok((owned, report))
     })?;
-    let mut completed = true;
-    let mut delivered = 0usize;
-    for part in parts {
-        if part.is_empty() {
-            continue;
+    let mut out = Chunker::new(emit, cfg.batch_rows);
+    let completed = 'deliver: {
+        for (x, y) in parts.into_iter().flatten() {
+            if !out.push(if swap { (y, x) } else { (x, y) })? {
+                break 'deliver false;
+            }
         }
-        let part = if swap && emit.wants_items() {
-            part.into_iter().map(|(y, x)| (x, y)).collect()
-        } else {
-            part
-        };
-        delivered += part.len();
-        if !emit.offer(part)? {
-            completed = false;
-            break;
-        }
-    }
+        out.finish()?
+    };
     // The workers counted fringe pairs before owner dedup; report what
     // actually reached the consumer.
-    report.metrics.emitted = delivered;
+    report.metrics.emitted = out.emitted;
     Ok(ParallelPush {
         completed,
         report,

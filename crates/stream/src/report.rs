@@ -117,9 +117,10 @@ pub struct OpConfig {
     pub policy: ReadPolicy,
     /// Which overlap predicate the overlap operators evaluate.
     pub mode: OverlapMode,
-    /// Rows per columnar batch fed to the [`crate::batch_ops`] kernels by
-    /// [`crate::dispatch`] and the [`crate::partition`] drivers (`0` is
-    /// clamped to 1). The row constructors below ignore it.
+    /// Items per output chunk a producer hands to its [`crate::Emit`]
+    /// consumer — the [`crate::batch_ops`] kernels, [`crate::pull_each`]
+    /// and the [`crate::partition`] drivers (`0` is clamped to 1). The row
+    /// constructors below ignore it.
     pub batch_rows: usize,
 }
 
@@ -152,7 +153,7 @@ impl OpConfig {
         self
     }
 
-    /// Set the rows per columnar batch (`0` is clamped to 1).
+    /// Set the items per output chunk (`0` is clamped to 1).
     pub fn with_batch_rows(mut self, batch_rows: usize) -> OpConfig {
         self.batch_rows = batch_rows;
         self

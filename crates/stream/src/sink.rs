@@ -85,11 +85,16 @@ pub trait RowSink {
 }
 
 /// The consumer of an operator's output chunks — the `emit` argument of
-/// the push dispatch ([`crate::run_join_kind_each`]) and the parallel
-/// drivers. Any `FnMut(Vec<T>) -> TdbResult<bool>` closure is one (inline
-/// closures need an annotated parameter type). A consumer that only
-/// counts overrides [`Emit::wants_items`]; producers then hand it bare
-/// counts, and the join dispatch switches to its count-only kernels.
+/// the push dispatch ([`crate::run_join_kind_each`]), [`crate::pull_each`]
+/// and the parallel drivers. Any `FnMut(Vec<T>) -> TdbResult<bool>`
+/// closure is one (inline closures need an annotated parameter type).
+///
+/// Every producer keeps one contract: items arrive in chunks of at most
+/// the configured `batch_rows`, and a `false` return stops the producer,
+/// so a consumer that declines its first chunk has received at most
+/// `batch_rows` items. A consumer that only counts overrides
+/// [`Emit::wants_items`]; producers then hand it one bare count at the
+/// end, and the join kernels run count-only.
 pub trait Emit<T> {
     /// Does this consumer need the items? `false` selects count-only
     /// production and [`Emit::push_count`].
@@ -107,14 +112,71 @@ pub trait Emit<T> {
         let _ = n;
         Ok(true)
     }
+}
 
-    /// Offer `chunk` as items, or as its length to a counting consumer.
-    fn offer(&mut self, chunk: Vec<T>) -> TdbResult<bool> {
-        if self.wants_items() {
-            self.push(chunk)
-        } else {
-            self.push_count(chunk.len())
+/// The producer side of the [`Emit`] contract, shared by every producer:
+/// buffers items and hands them over in chunks of at most `rows` (`0`
+/// counts as 1), or — for a consumer that declines items — only counts
+/// them and hands over the total in [`Chunker::finish`].
+pub(crate) struct Chunker<'e, T> {
+    emit: &'e mut dyn Emit<T>,
+    chunk: Vec<T>,
+    rows: usize,
+    wants_items: bool,
+    /// Items produced so far, handed over or counted.
+    pub(crate) emitted: usize,
+}
+
+impl<'e, T> Chunker<'e, T> {
+    pub(crate) fn new(emit: &'e mut dyn Emit<T>, rows: usize) -> Chunker<'e, T> {
+        let wants_items = emit.wants_items();
+        Chunker {
+            emit,
+            chunk: Vec::new(),
+            rows: rows.max(1),
+            wants_items,
+            emitted: 0,
         }
+    }
+
+    /// Does the consumer want items? If not, a producer may tally
+    /// matches with [`Chunker::count`] instead of building them.
+    #[inline]
+    pub(crate) fn wants_items(&self) -> bool {
+        self.wants_items
+    }
+
+    /// Tally `n` items without building them.
+    #[inline]
+    pub(crate) fn count(&mut self, n: usize) {
+        self.emitted += n;
+    }
+
+    /// Produce one item, handing a full chunk to the consumer. Returns
+    /// `false` once the consumer has asked the producer to stop.
+    #[inline]
+    pub(crate) fn push(&mut self, item: T) -> TdbResult<bool> {
+        self.emitted += 1;
+        if !self.wants_items {
+            return Ok(true);
+        }
+        self.chunk.push(item);
+        if self.chunk.len() < self.rows {
+            return Ok(true);
+        }
+        self.emit.push(std::mem::take(&mut self.chunk))
+    }
+
+    /// Hand over the last partial chunk, or the total to a counting
+    /// consumer. Returns `false` if the consumer stopped.
+    pub(crate) fn finish(&mut self) -> TdbResult<bool> {
+        if !self.wants_items {
+            return self.emit.push_count(self.emitted);
+        }
+        if self.chunk.is_empty() {
+            return Ok(true);
+        }
+        self.emit.push(std::mem::take(&mut self.chunk))
     }
 }
 

@@ -12,8 +12,8 @@
 //!
 //! * [`core`] — time points, periods, Allen relations, tuples, schemas,
 //!   sort orders, statistics;
-//! * [`storage`] — slotted pages, heap files, buffer pool, external merge
-//!   sort, catalog, I/O accounting;
+//! * [`storage`] — slotted pages, heap files, external merge sort, a
+//!   catalog serving decoded row snapshots, I/O accounting;
 //! * [`stream`] — the stream operators with instrumented workspaces;
 //! * [`algebra`] — logical/physical plans, rewrites, planner, executor;
 //! * [`analyze`] — the plan-time static verifier: sort-order inference,

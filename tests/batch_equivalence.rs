@@ -14,11 +14,13 @@
 
 use proptest::prelude::*;
 use tdb::prelude::*;
-use tdb::stream::{pull_each, run_join_kind_each, run_semijoin_kind_each, StreamOpKind};
+use tdb::stream::{
+    pull_each, run_join_kind_each, run_semijoin_kind_each, Emit, StreamOpKind, DEFAULT_BATCH_ROWS,
+};
 
-/// The batch sizes under test: degenerate (1), sub-default (64), and the
-/// default (1024, larger than every generated input so a whole side lands
-/// in one batch).
+/// The batch sizes (items per output chunk) under test: degenerate (1),
+/// sub-default (64), and the default (1024, larger than most generated
+/// results, so the whole output usually lands in one chunk).
 const BATCH_SIZES: [usize; 3] = [1, 64, 1024];
 
 /// Distinct surrogates make sequence comparison exact even when periods
@@ -98,7 +100,7 @@ fn semijoin_cases() -> Vec<(StreamOpKind, StreamOrder, StreamOrder, OpConfig)> {
 /// Drain a row operator to completion with its report.
 fn drain<S: TupleStream + Instrumented>(mut op: S) -> (Vec<S::Item>, OpReport) {
     let mut out = Vec::new();
-    assert!(pull_each(&mut op, &mut out).unwrap());
+    assert!(pull_each(&mut op, DEFAULT_BATCH_ROWS, &mut out).unwrap());
     (out, op.report())
 }
 
@@ -143,6 +145,30 @@ fn row_semijoin(
     }
 }
 
+/// The chunk contract every producer keeps: with the consumer taking
+/// everything, each chunk holds at most `rows` items; a consumer that
+/// declines its first chunk has received at most `rows` items.
+fn assert_chunk_contract<T>(rows: usize, what: &str, mut run: impl FnMut(&mut dyn Emit<T>)) {
+    let mut lens = Vec::new();
+    run(&mut |chunk: Vec<T>| {
+        lens.push(chunk.len());
+        Ok(true)
+    });
+    assert!(
+        lens.iter().all(|&n| n <= rows),
+        "{what}: chunk lengths {lens:?} exceed {rows}"
+    );
+    let mut seen = 0;
+    run(&mut |chunk: Vec<T>| {
+        seen += chunk.len();
+        Ok(false)
+    });
+    assert!(
+        seen <= rows,
+        "{what}: {seen} items received before declining the first chunk"
+    );
+}
+
 /// Reports must agree on every externally observable counter, not just
 /// the output: reads, comparisons, emits, and the workspace peak.
 fn assert_reports_match(batched: &OpReport, row: &OpReport, what: &str) {
@@ -181,6 +207,11 @@ proptest! {
                 ).unwrap();
                 prop_assert_eq!(&out, &row_out, "{} batch {}", kind, rows);
                 assert_reports_match(&rep, &row_rep, &format!("{kind} batch {rows}"));
+                assert_chunk_contract(rows, &format!("{kind} batch {rows}"), |emit| {
+                    run_join_kind_each(
+                        kind, cfg.with_batch_rows(rows), x.clone(), xo, y.clone(), yo, emit,
+                    ).unwrap();
+                });
             }
         }
     }
@@ -202,6 +233,11 @@ proptest! {
                 ).unwrap();
                 prop_assert_eq!(&out, &row_out, "{} batch {}", kind, rows);
                 assert_reports_match(&rep, &row_rep, &format!("{kind} batch {rows}"));
+                assert_chunk_contract(rows, &format!("{kind} batch {rows}"), |emit| {
+                    run_semijoin_kind_each(
+                        kind, cfg.with_batch_rows(rows), x.clone(), xo, y.clone(), yo, emit,
+                    ).unwrap();
+                });
             }
         }
     }

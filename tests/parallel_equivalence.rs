@@ -12,6 +12,7 @@
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use tdb::prelude::*;
+use tdb::stream::Emit;
 
 /// Distinct surrogates make multiset comparison exact even when periods
 /// repeat.
@@ -62,6 +63,30 @@ fn canon(v: &[TsTuple]) -> Vec<Key> {
     let mut out: Vec<_> = v.iter().map(key).collect();
     out.sort_unstable();
     out
+}
+
+/// The chunk contract every producer keeps: with the consumer taking
+/// everything, each chunk holds at most `rows` items; a consumer that
+/// declines its first chunk has received at most `rows` items.
+fn assert_chunk_contract<T>(rows: usize, what: &str, mut run: impl FnMut(&mut dyn Emit<T>)) {
+    let mut lens = Vec::new();
+    run(&mut |chunk: Vec<T>| {
+        lens.push(chunk.len());
+        Ok(true)
+    });
+    assert!(
+        lens.iter().all(|&n| n <= rows),
+        "{what}: chunk lengths {lens:?} exceed {rows}"
+    );
+    let mut seen = 0;
+    run(&mut |chunk: Vec<T>| {
+        seen += chunk.len();
+        Ok(false)
+    });
+    assert!(
+        seen <= rows,
+        "{what}: {seen} items received before declining the first chunk"
+    );
 }
 
 const PATTERNS: [ParallelPattern; 4] = [
@@ -128,6 +153,12 @@ proptest! {
                 // the serial workspace plus the replicated fringe.
                 prop_assert!(run.per_partition.len() <= k.max(1));
             }
+            for k in [2, 4] {
+                let cfg = OpConfig::new().with_batch_rows(3);
+                assert_chunk_contract(3, &format!("{pattern:?} join, k={k}"), |emit| {
+                    parallel_join_each(pattern, xs.clone(), ys.clone(), k, cfg, emit).unwrap();
+                });
+            }
         }
     }
 
@@ -160,6 +191,12 @@ proptest! {
                     "{:?} k={} output violates {}", pattern, k, order
                 );
                 prop_assert_eq!(run.report.metrics.emitted, kept.len());
+            }
+            for k in [2, 4] {
+                let cfg = OpConfig::new().with_batch_rows(3);
+                assert_chunk_contract(3, &format!("{pattern:?} semijoin, k={k}"), |emit| {
+                    parallel_semijoin_each(pattern, xs.clone(), ys.clone(), k, cfg, emit).unwrap();
+                });
             }
         }
     }

@@ -6,7 +6,7 @@
 //!    two-variable temporal queries, executing through an external
 //!    [`CollectSink`] must produce exactly the rows, counters, and
 //!    workspace peaks of the materialized path, across batch sizes
-//!    {0, 64, 1024} × parallelism {1, 4}; the count-only path
+//!    {1, 64, 1024} × parallelism {1, 4}; the count-only path
 //!    ([`CountSink`], `wants_rows() == false`) must agree on
 //!    cardinality; and a [`LimitSink`] must retain exactly the prefix
 //!    while stopping the producer early.
